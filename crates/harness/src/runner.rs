@@ -113,7 +113,8 @@ fn available_threads() -> usize {
 
 /// Engine-mode default: the `TLP_ENGINE` environment variable when set
 /// (CI runs the golden/determinism suites under both modes with it), else
-/// the cycle-accurate reference engine.
+/// the event engine; the cycle engine stays the reference it is tested
+/// against.
 ///
 /// # Panics
 ///
@@ -124,7 +125,7 @@ fn engine_from_env() -> EngineMode {
         Ok(v) => v
             .parse()
             .unwrap_or_else(|e| panic!("invalid TLP_ENGINE: {e}")),
-        Err(_) => EngineMode::Cycle,
+        Err(_) => EngineMode::Event,
     }
 }
 

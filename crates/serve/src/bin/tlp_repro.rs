@@ -255,8 +255,8 @@ fn main() {
                      experiments: {} table45 all\n\
                      --list prints the experiment ids, one per line\n\
                      --all runs every experiment (same as the `all` operand)\n\
-                     --engine selects the time-advance strategy (default: cycle, or $TLP_ENGINE); \
-                     both modes produce bit-identical tables, event mode skips idle cycles\n\
+                     --engine selects the time-advance strategy (default: event, or $TLP_ENGINE); \
+                     both modes produce bit-identical tables, event mode skips idle cycles and stalled cores\n\
                      --jobs N sets the run-engine worker count (default: all cores, or $TLP_THREADS)\n\
                      --cache-dir DIR persists simulation results on disk; a re-run is simulation-free\n\
                      --no-cache disables the on-disk tier (the in-process cache always dedups the grid)\n\

@@ -83,7 +83,7 @@ fn main() {
                 println!(
                     "tlp-serve [--addr HOST:PORT] [--test|--quick|--full] [--engine cycle|event] [--jobs N] [--cache-dir DIR [--cache-cap-mb MB]] [--trace-dir DIR]\n\
                      --addr HOST:PORT binds the service (default: 127.0.0.1:7457; port 0 = ephemeral)\n\
-                     --engine selects the time-advance strategy (default: cycle)\n\
+                     --engine selects the time-advance strategy (default: event, or $TLP_ENGINE)\n\
                      --jobs N sets the per-request worker count (default: all cores)\n\
                      --cache-dir DIR adds the shared on-disk tier (safe for concurrent daemons)\n\
                      --cache-cap-mb MB caps the disk tier; oldest entries are evicted LRU\n\

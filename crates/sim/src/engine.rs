@@ -3,17 +3,27 @@
 //!
 //! Two interchangeable engine modes drive the same component logic:
 //!
-//! * [`EngineMode::Cycle`] — the reference implementation: every
-//!   component ticks every base cycle.
-//! * [`EngineMode::Event`] — discrete-event scheduling on the
-//!   [`tlp_events`] component contract: each component (DRAM, the LLC,
-//!   each core's L2/L1D, each core front-end, the speculative-request
-//!   and DRAM-retry queues) reports a conservative wake-up time, the
-//!   engine takes the minimum, and the clock jumps straight there.
-//!   Cycles where every component is provably idle — the common case
-//!   when the whole system stalls behind a DRAM access — are never
-//!   executed. Same-cycle wake-ups coalesce into one full tick, so only
-//!   the minimum matters and no event queue is materialized.
+//! * [`EngineMode::Cycle`] — the reference implementation and test
+//!   oracle: every component ticks every base cycle.
+//! * [`EngineMode::Event`] (the default) — discrete-event scheduling on
+//!   the [`tlp_events`] component contract, at two grains:
+//!   - *Per system.* Each component (DRAM, the LLC, each core's L2/L1D,
+//!     each core front-end, the speculative-request and DRAM-retry
+//!     queues) reports a conservative wake-up time, the engine takes the
+//!     minimum, and the clock jumps straight there. Cycles where every
+//!     component is provably idle — the common case when the whole
+//!     system stalls behind a DRAM access — are never executed.
+//!     Same-cycle wake-ups coalesce into one full tick, so only the
+//!     minimum matters and no event queue is materialized.
+//!   - *Per core, inside executed ticks.* Each core caches its wake-up
+//!     right after its stage runs, and the stage (retire, dispatch,
+//!     schedule, store drain) is skipped on every executed tick before
+//!     it. A completed load is the only input that changes a core's
+//!     state from outside its stage; it resets the cache to 0. Fills
+//!     climb the hierarchy in the stages before the core's turn, so a
+//!     fill in the same tick still wakes it. In a multi-core mix a core
+//!     blocked on DRAM no longer pays a scheduler scan on every cycle
+//!     its busy neighbours keep alive.
 //!
 //! The per-tick path is allocation-free in steady state: the engine owns
 //! reusable scratch buffers ([`TickScratch`]) that are cleared — never
@@ -23,10 +33,12 @@
 //!
 //! Both modes run the identical per-cycle logic in the identical
 //! intra-cycle order (DRAM → retries → speculative queue → LLC → L2 →
-//! L1D → core), so they produce **bit-identical** [`SimReport`]s; the
-//! event engine only skips cycles that the cycle engine would have spent
-//! doing nothing. `tests/determinism.rs` and the engine tests below pin
-//! that equivalence.
+//! L1D → core), compiled once per mode from one tick body, so they
+//! produce **bit-identical** [`SimReport`]s; the event engine only skips
+//! cycles and core stages that the cycle engine would have spent doing
+//! nothing. `tests/determinism.rs`, `tests/busy_phase.rs` and the engine
+//! tests below pin that equivalence, and a debug assertion re-derives
+//! every skipped core's wake-up.
 
 use std::collections::VecDeque;
 
@@ -51,12 +63,15 @@ use tlp_timeline::{Counters as TimelineCounters, Recorder, Stage, Timeline, Time
 /// How [`System::run`] advances time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineMode {
-    /// Tick every component every base cycle (reference implementation).
-    #[default]
+    /// Tick every component every base cycle (reference implementation
+    /// and test oracle).
     Cycle,
     /// Discrete-event scheduling: jump from one component wake-up to the
-    /// next, skipping cycles where the whole system is provably idle.
-    /// Produces bit-identical reports to [`EngineMode::Cycle`].
+    /// next, skipping cycles where the whole system is provably idle, and
+    /// inside executed ticks skip each core stage whose wake-up lies in
+    /// the future. Produces bit-identical reports to
+    /// [`EngineMode::Cycle`].
+    #[default]
     Event,
 }
 
@@ -179,6 +194,14 @@ struct CoreState {
     trace_exhausted: bool,
     pf_scratch: Vec<PrefetchCandidate>,
     l2_pf_scratch: Vec<L2PrefetchCandidate>,
+    /// Event engine: the core's wake-up as of its last executed stage
+    /// (`Cycle::MAX`: asleep until a fill). 0 forces the stage to run on
+    /// the next executed tick; a completed load resets it to 0.
+    wake: Cycle,
+    /// Executed ticks on which the event engine skipped this core's
+    /// stage. Counting skips, not runs, leaves the cycle engine's tick
+    /// untouched.
+    stages_skipped: u64,
 }
 
 /// Timeline encoding of an off-chip decision (the artifact is integer-only).
@@ -396,6 +419,8 @@ impl System {
                 trace_exhausted: false,
                 pf_scratch: Vec::with_capacity(16),
                 l2_pf_scratch: Vec::with_capacity(16),
+                wake: 0,
+                stages_skipped: 0,
             })
             .collect();
         Self {
@@ -434,9 +459,15 @@ impl System {
 
     /// Selects how [`System::run`] advances time. Both modes produce
     /// bit-identical reports; [`EngineMode::Event`] is faster whenever
-    /// the system spends cycles fully stalled (memory-bound workloads).
+    /// the system spends cycles fully stalled (memory-bound workloads)
+    /// or some core sits blocked on memory while others run. Every
+    /// core's cached wake-up is cleared, so the first tick in the new
+    /// mode runs every core stage.
     pub fn set_engine_mode(&mut self, mode: EngineMode) {
         self.mode = mode;
+        for c in &mut self.cores {
+            c.wake = 0;
+        }
     }
 
     /// Builder-style [`System::set_engine_mode`].
@@ -458,6 +489,18 @@ impl System {
     #[must_use]
     pub fn ticks_executed(&self) -> u64 {
         self.ticks_executed
+    }
+
+    /// Core stages executed so far, one count per core. In cycle mode
+    /// each equals [`System::ticks_executed`]; in event mode a core
+    /// blocked on memory skips its stage on executed ticks before its
+    /// wake-up, so its count falls below the tick count.
+    #[must_use]
+    pub fn core_ticks_executed(&self) -> Vec<u64> {
+        self.cores
+            .iter()
+            .map(|c| self.ticks_executed - c.stages_skipped)
+            .collect()
     }
 
     fn fresh_id(&mut self) -> u64 {
@@ -680,10 +723,11 @@ impl System {
         // counts show which components were still being driven, and with
         // the `obs` feature the full `sim_*` registry rides along.
         let mut metrics = format!(
-            "  ticks executed {} of {} cycles ({} skipped)",
+            "  ticks executed {} of {} cycles ({} skipped), core stages executed {:?}",
             self.ticks_executed,
             self.cycle,
             self.cycle - self.ticks_executed,
+            self.core_ticks_executed(),
         );
         let rendered = crate::obs::EngineObs::render_snapshot();
         if !rendered.is_empty() {
@@ -775,12 +819,15 @@ impl System {
     /// Advances the system: one cycle in [`EngineMode::Cycle`], straight
     /// to the next scheduled component wake-up in [`EngineMode::Event`].
     fn step(&mut self) {
-        if self.mode == EngineMode::Event {
-            let wake = self.next_wake();
-            debug_assert!(wake > self.cycle, "wake-ups must move time forward");
-            self.cycle = wake - 1;
+        match self.mode {
+            EngineMode::Cycle => self.tick_in::<false>(),
+            EngineMode::Event => {
+                let wake = self.next_wake();
+                debug_assert!(wake > self.cycle, "wake-ups must move time forward");
+                self.cycle = wake - 1;
+                self.tick_in::<true>();
+            }
         }
-        self.tick();
     }
 
     /// The earliest cycle at which any component may change state: every
@@ -791,12 +838,12 @@ impl System {
     /// thing ever consumed; the running min is exactly equivalent and
     /// skips the per-tick queue rebuild.) Components are consulted
     /// cheapest-first, and any wake-up due at the very next cycle returns
-    /// immediately — during busy phases the expensive per-core scans
-    /// never run, so event mode falls through to plain stepping instead
-    /// of paying scheduling overhead every tick. Falls back to the next
-    /// cycle when nothing at all is scheduled but the run is not over (a
-    /// simulator bug: single-stepping lets the watchdog produce its
-    /// diagnosis).
+    /// immediately, so event mode falls through to plain stepping during
+    /// busy phases. The cores contribute their cached wake-ups, refreshed
+    /// after each executed core stage, so no pass walks a ROB. Falls back
+    /// to the next cycle when nothing at all is scheduled but the run is
+    /// not over (a simulator bug: single-stepping lets the watchdog
+    /// produce its diagnosis).
     fn next_wake(&mut self) -> Cycle {
         let now = self.cycle;
         let soonest = now + 1;
@@ -842,17 +889,13 @@ impl System {
                 scheduled += 1;
             }
         }
-        // The core front-ends last: their wake-up needs an ROB walk.
-        {
-            let _t = self.obs.rob_walk_span();
-            for c in &self.cores {
-                if let Some(t) = c.core.next_wake(now, c.trace_exhausted) {
-                    if t <= soonest {
-                        return soonest;
-                    }
-                    wake = wake.min(t);
-                    scheduled += 1;
+        for c in &self.cores {
+            if c.wake != Cycle::MAX {
+                if c.wake <= soonest {
+                    return soonest;
                 }
+                wake = wake.min(c.wake);
+                scheduled += 1;
             }
         }
         // The gauge keeps its historical meaning: how many components had
@@ -867,10 +910,9 @@ impl System {
 
     /// O(1) pre-pass of [`System::next_wake`]: true when some component
     /// is certain to have work on the very next cycle, in which case the
-    /// scheduling pass (queue rebuild + per-core ROB walks) is pointless.
-    /// On busy cycles — the overwhelming majority of executed ticks on
-    /// compute-bound phases — this keeps event mode within a few percent
-    /// of cycle mode's cost.
+    /// full scheduling pass is pointless. On busy cycles — the
+    /// overwhelming majority of executed ticks on compute-bound phases —
+    /// this keeps event mode's scheduling cost to a few compares.
     fn work_due_next_cycle(&self, now: Cycle) -> bool {
         let soonest = now + 1;
         // Retries re-attempt the DRAM queues every cycle, and queued DRAM
@@ -882,7 +924,7 @@ impl System {
             return true;
         }
         for c in &self.cores {
-            if c.core.wants_next_cycle(now, c.trace_exhausted)
+            if c.wake <= soonest
                 || c.l1d.next_ready().is_some_and(|t| t <= soonest)
                 || c.l2.next_ready().is_some_and(|t| t <= soonest)
             {
@@ -895,6 +937,24 @@ impl System {
 
     /// Advances the system by one cycle.
     pub fn tick(&mut self) {
+        match self.mode {
+            EngineMode::Cycle => self.tick_in::<false>(),
+            EngineMode::Event => self.tick_in::<true>(),
+        }
+    }
+
+    /// The tick body, compiled once per engine mode. The cycle engine
+    /// (`EVENT = false`) runs every stage every tick. The event engine
+    /// also skips each core stage whose cached wake-up lies in the
+    /// future: with no fill since the core's last executed stage, that
+    /// stage cannot change state before then. Fills reach the core in
+    /// the earlier stages of the same tick and reset its wake-up, so a
+    /// core woken this tick still runs this tick.
+    ///
+    /// The stage helpers it calls are `#[inline(always)]`: with two
+    /// callers each, the optimizer would keep them out of line, and each
+    /// mode's body would lose the inlining the single tick body had.
+    fn tick_in<const EVENT: bool>(&mut self) {
         self.cycle += 1;
         self.ticks_executed += 1;
         let now = self.cycle;
@@ -949,15 +1009,40 @@ impl System {
             }
         }
         // 5. The cores themselves.
+        let mut skipped = 0;
         {
             let _t = self.obs.core_tick_span();
             for i in 0..self.cores.len() {
+                if EVENT && self.cores[i].wake > now {
+                    let c = &mut self.cores[i];
+                    debug_assert_eq!(
+                        c.core
+                            .next_wake(now - 1, c.trace_exhausted)
+                            .unwrap_or(Cycle::MAX),
+                        c.wake,
+                        "core{i} changed state at cycle {now} without clearing its wake-up"
+                    );
+                    c.stages_skipped += 1;
+                    skipped += 1;
+                    continue;
+                }
                 self.tick_core(i, now);
+                if EVENT {
+                    let c = &mut self.cores[i];
+                    c.wake = if c.core.wants_next_cycle(now, c.trace_exhausted) {
+                        now + 1
+                    } else {
+                        let _t = self.obs.rob_walk_span();
+                        c.core
+                            .next_wake(now, c.trace_exhausted)
+                            .unwrap_or(Cycle::MAX)
+                    };
+                }
             }
         }
         // A window boundary landing exactly on this cycle is sampled with
         // the post-tick counters — identical in both engine modes, since
-        // both execute this tick in full.
+        // both execute this tick (a skipped core stage changes nothing).
         if self
             .timeline
             .as_ref()
@@ -968,9 +1053,11 @@ impl System {
                 tl.sample_at(now, snap, rob, mshr);
             }
         }
-        self.obs.on_tick(self.cores.len() as u64);
+        let cores = self.cores.len() as u64;
+        self.obs.on_tick(cores, cores - skipped);
     }
 
+    #[inline(always)]
     fn drain_retries(&mut self, _now: Cycle) {
         for _ in 0..self.dram_retry.len() {
             let Some(req) = self.dram_retry.pop_front() else {
@@ -1012,6 +1099,7 @@ impl System {
         self.scratch.seen_cores = seen;
     }
 
+    #[inline(always)]
     fn tick_llc(&mut self, now: Cycle) {
         let mut out = std::mem::take(&mut self.scratch.tick_out);
         let _ = Component::tick(&mut self.llc, now, &mut out);
@@ -1070,6 +1158,7 @@ impl System {
         }
     }
 
+    #[inline(always)]
     fn deliver_from_dram(&mut self, req: &Request, now: Cycle) {
         let line = req.line();
         let fill = self.llc.fill(line, Level::Dram, now);
@@ -1197,6 +1286,9 @@ impl System {
         let Some(done) = self.cores[c].core.complete_load(seq, now) else {
             return;
         };
+        // The only input that changes a core's state outside its own
+        // stage: the event engine must run that stage again.
+        self.cores[c].wake = 0;
         // Journey completion: data delivered to the core this cycle.
         if w.journey != NO_JOURNEY {
             if let Some(tl) = &mut self.timeline {
@@ -1296,6 +1388,7 @@ impl System {
         }
     }
 
+    #[inline(always)]
     fn tick_l2(&mut self, i: usize, now: Cycle) {
         let mut out = std::mem::take(&mut self.scratch.tick_out);
         let _ = Component::tick(&mut self.cores[i].l2, now, &mut out);
@@ -1379,6 +1472,7 @@ impl System {
         }
     }
 
+    #[inline(always)]
     fn tick_l1d(&mut self, i: usize, now: Cycle) {
         let mut out = std::mem::take(&mut self.scratch.tick_out);
         let _ = Component::tick(&mut self.cores[i].l1d, now, &mut out);
@@ -1505,6 +1599,7 @@ impl System {
         }
     }
 
+    #[inline(always)]
     fn tick_core(&mut self, i: usize, now: Cycle) {
         // Retire.
         let retired = self.cores[i].core.retire(now);
@@ -1967,6 +2062,12 @@ mod tests {
             evt.ticks_executed() <= cyc.ticks_executed(),
             "event mode can never execute more ticks than cycle mode"
         );
+        assert!(
+            cyc.core_ticks_executed()
+                .iter()
+                .all(|&t| t == cyc.ticks_executed()),
+            "cycle mode runs every core stage on every tick"
+        );
         (rc, re)
     }
 
@@ -2032,6 +2133,41 @@ mod tests {
             let (rc, re) = run_both(make, 0, 300);
             assert_eq!(rc, re, "decision {decision:?} diverged");
         }
+    }
+
+    /// A compute-bound core keeps every cycle busy while a dependent
+    /// chase sits blocked on DRAM: event mode skips no whole cycle, but
+    /// it skips the chaser's core stage on almost every executed tick.
+    #[test]
+    fn event_mode_skips_a_blocked_cores_stage_inside_busy_ticks() {
+        let make = || {
+            let alu: Vec<TraceRecord> = (0..64)
+                .map(|i| TraceRecord::alu(0x400 + i * 4, Some(Reg(2)), [None, None]))
+                .collect();
+            System::new(
+                SystemConfig::test_tiny(2),
+                vec![
+                    CoreSetup::new(Box::new(VecTrace::looping("alu", alu))),
+                    CoreSetup::new(Box::new(chase_trace(200))),
+                ],
+            )
+        };
+        let mut cyc = make().with_engine_mode(EngineMode::Cycle);
+        let mut evt = make().with_engine_mode(EngineMode::Event);
+        assert_eq!(cyc.run(0, 200), evt.run(0, 200));
+        let ticks = evt.ticks_executed();
+        assert_eq!(
+            ticks,
+            cyc.ticks_executed(),
+            "the busy core leaves no cycle idle"
+        );
+        let stages = evt.core_ticks_executed();
+        assert_eq!(stages[0], ticks, "the busy core runs its stage every tick");
+        assert!(
+            stages[1] * 10 < ticks,
+            "the chaser ran its stage on {} of {ticks} ticks",
+            stages[1]
+        );
     }
 
     #[test]
@@ -2106,7 +2242,7 @@ mod tests {
         assert_eq!("event".parse::<EngineMode>(), Ok(EngineMode::Event));
         assert!("evnet".parse::<EngineMode>().is_err());
         assert_eq!(EngineMode::Event.to_string(), "event");
-        assert_eq!(EngineMode::default(), EngineMode::Cycle);
+        assert_eq!(EngineMode::default(), EngineMode::Event);
     }
 
     /// The trigger's *two-bit* off-chip decision must survive the trip

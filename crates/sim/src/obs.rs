@@ -2,7 +2,7 @@
 //!
 //! Built with `--features obs`, [`EngineObs`] records per-component tick
 //! counters, the event-queue depth, cycles advanced vs ticks executed,
-//! and wall-clock span timings for the scheduler's ROB walk and each
+//! and wall-clock span timings for the per-core wake-up ROB walk and each
 //! tick's cache/core sections — all into the process-global
 //! [`tlp_obs`] registry (`sim_*` metric names), which `tlp_repro
 //! --profile` snapshots after a run.
@@ -66,14 +66,15 @@ mod imp {
             }
         }
 
-        /// Counts one executed tick across every component type.
-        pub fn on_tick(&self, cores: u64) {
+        /// Counts one executed tick: DRAM, the LLC and all `cores` L2s
+        /// and L1Ds ticked, and `core_stages` cores ran their core stage.
+        pub fn on_tick(&self, cores: u64, core_stages: u64) {
             self.ticks.inc();
             self.dram_ticks.inc();
             self.llc_ticks.inc();
             self.l2_ticks.add(cores);
             self.l1d_ticks.add(cores);
-            self.core_ticks.add(cores);
+            self.core_ticks.add(core_stages);
         }
 
         /// Records a finished run: total cycles advanced and the idle
@@ -89,7 +90,8 @@ mod imp {
                 .set(i64::try_from(depth).unwrap_or(i64::MAX));
         }
 
-        /// Times the scheduler's per-core ROB walk.
+        /// Times one core's wake-up computation (its ROB walk), run by
+        /// the event engine after the core's stage executes.
         pub fn rob_walk_span(&self) -> tlp_obs::Span {
             self.rob_walk_ns.span()
         }
@@ -132,7 +134,7 @@ mod imp {
 
         /// No-op (build with `--features obs` to record).
         #[inline(always)]
-        pub fn on_tick(&self, _cores: u64) {}
+        pub fn on_tick(&self, _cores: u64, _core_stages: u64) {}
 
         /// No-op (build with `--features obs` to record).
         #[inline(always)]
