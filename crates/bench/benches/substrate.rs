@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the substrate: raw simulation throughput, trace
 //! generation speed, predictor prediction/training rates — the ablation
 //! benches DESIGN.md calls out for the design choices (hashed perceptron
-//! vs table sizes, graph build, streaming vs captured traces).
+//! vs table sizes, graph build).
 
 use std::time::Duration;
 
@@ -113,15 +113,6 @@ fn substrate_benches(c: &mut Criterion) {
         });
     }
 
-    // Trace file encode/decode throughput.
-    g.throughput(Throughput::Elements(30_000));
-    g.bench_function("trace_file_encode_decode_30k", |b| {
-        let recs = capture(workload.as_ref(), 30_000);
-        b.iter(|| {
-            let bytes = tlp_trace::file::encode_trace("bfs.kron", true, &recs);
-            tlp_trace::file::decode_trace(bytes).expect("roundtrip")
-        });
-    });
     g.finish();
 }
 

@@ -169,9 +169,9 @@ impl DiskCache {
         })
     }
 
-    /// Caps the directory at `cap` bytes of entries: every
-    /// [`SWEEP_EVERY`]-th store runs an LRU [`sweep`](DiskCache::sweep)
-    /// that deletes oldest-modified entries until the total fits.
+    /// Caps the directory at `cap` bytes of entries: every 32nd store
+    /// (`SWEEP_EVERY`) runs an LRU [`sweep`](DiskCache::sweep) that
+    /// deletes oldest-modified entries until the total fits.
     #[must_use]
     pub fn with_cap_bytes(mut self, cap: u64) -> Self {
         self.cap_bytes = Some(cap);
@@ -645,8 +645,9 @@ impl ResultCache {
         &self.registry
     }
 
-    /// The per-cell wall-clock timing log (capped at [`MAX_CELL_LOG`]
-    /// entries; overflow is counted in `run_cache_cell_log_dropped_total`).
+    /// The per-cell wall-clock timing log (capped at 16,384 entries,
+    /// `MAX_CELL_LOG`; overflow is counted in
+    /// `run_cache_cell_log_dropped_total`).
     #[must_use]
     pub fn cell_timings(&self) -> Vec<CellTiming> {
         self.cell_log

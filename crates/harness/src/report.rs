@@ -1,9 +1,7 @@
 //! Experiment results and plain-text rendering.
 
-use serde::{Deserialize, Serialize};
-
 /// One row of an experiment table: a label plus named numeric columns.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Row label (workload, scheme, bandwidth point, ...).
     pub label: String,
@@ -32,7 +30,7 @@ impl Row {
 }
 
 /// The result of one experiment (one paper figure or table).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentResult {
     /// Experiment id (e.g. `fig10a`).
     pub id: String,

@@ -24,7 +24,7 @@ use tlp_trace::emit::Workload;
 use tlp_trace::simpoint::{simpoints_of, BbvConfig, SimPoint};
 use tlp_trace::{TraceRecord, TraceSource, VecTrace};
 use tlp_tracestore::{
-    capture_desc, TraceKey, TraceLoad, TraceReader, TraceStore, TraceWorkload, CAPTURE_SIMPOINT_K,
+    capture_desc, StreamTrace, TraceKey, TraceLoad, TraceStore, TraceWorkload, CAPTURE_SIMPOINT_K,
     CAPTURE_SIMPOINT_SEED, TRACE_NAMESPACE,
 };
 
@@ -415,7 +415,7 @@ impl Harness {
     #[must_use]
     pub fn trace_for(&self, w: &Arc<dyn Workload>) -> Box<dyn TraceSource> {
         if let Some(path) = w.trace_path() {
-            let t = TraceReader::open(path).unwrap_or_else(|e| {
+            let t = StreamTrace::open(path).unwrap_or_else(|e| {
                 panic!(
                     "trace workload '{}': cannot open {}: {e}",
                     w.name(),
@@ -434,9 +434,9 @@ impl Harness {
             }
         }
         if let Some(store) = &self.trace_store {
-            if let Some(t) = tlp_tracestore::store::open_if_present(store, self.capture_key(name)) {
+            if let TraceLoad::Hit(t) = store.open_trace(self.capture_key(name)) {
                 self.tstats.disk_hits.fetch_add(1, Ordering::Relaxed);
-                return Box::new(t);
+                return t;
             }
         }
         let recs = self.capture_records(w);
@@ -780,7 +780,7 @@ impl Harness {
             simpoints_of(recs, cfg, CAPTURE_SIMPOINT_K, CAPTURE_SIMPOINT_SEED)
         };
         if let Some(path) = w.trace_path() {
-            let mut reader = TraceReader::open(path).unwrap_or_else(|e| {
+            let mut t = StreamTrace::open(path).unwrap_or_else(|e| {
                 panic!(
                     "trace workload '{}': cannot open {}: {e}",
                     w.name(),
@@ -788,11 +788,8 @@ impl Harness {
                 )
             });
             self.tstats.disk_hits.fetch_add(1, Ordering::Relaxed);
-            let sps = reader.simpoints().to_vec();
-            let n = reader.total_records();
-            let recs: Vec<TraceRecord> = (0..n)
-                .map(|_| reader.next_record().expect("validated trace decodes fully"))
-                .collect();
+            let sps = t.simpoints().to_vec();
+            let recs = t.read_records();
             let sps = if sps.is_empty() { compute(&recs) } else { sps };
             return (Arc::new(recs), sps);
         }
@@ -1107,19 +1104,8 @@ impl Harness {
 
     /// Maps `f` over `items` on the configured number of worker threads,
     /// preserving order. A panicking closure re-panics on the caller with
-    /// the item's index in the message.
-    pub fn parallel_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.parallel_map_labeled(items, |_, i| format!("item {i}"), f)
-    }
-
-    /// [`Harness::parallel_map`] with a caller-provided label per item: a
-    /// panicking closure re-panics on the caller with the failing item's
-    /// label, so a dead cell in a thousand-cell grid is identifiable.
+    /// the failing item's `label`, so a dead cell in a thousand-cell grid
+    /// is identifiable.
     pub fn parallel_map_labeled<T, R, F, L>(&self, items: Vec<T>, label: L, f: F) -> Vec<R>
     where
         T: Sync,
@@ -1153,12 +1139,12 @@ impl Harness {
             return out;
         }
         let next = std::sync::atomic::AtomicUsize::new(0);
-        let (tx, rx) = crossbeam::channel::unbounded::<(usize, Result<R, String>)>();
+        let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<R, String>)>();
         let (run_ref, next_ref) = (&run_one, &next);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..threads.min(n) {
                 let tx = tx.clone();
-                scope.spawn(move |_| loop {
+                scope.spawn(move || loop {
                     let i = next_ref.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if i >= n {
                         break;
@@ -1168,8 +1154,7 @@ impl Harness {
                     }
                 });
             }
-        })
-        .expect("worker thread died outside the panic guard");
+        });
         drop(tx);
         let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
         let mut failure: Option<(usize, String)> = None;
@@ -1248,7 +1233,8 @@ mod tests {
     #[test]
     fn parallel_map_preserves_order() {
         let h = Harness::new(RunConfig::test());
-        let out = h.parallel_map((0..100).collect(), |&x| x * 2);
+        let out =
+            h.parallel_map_labeled((0..100).collect(), |_, i| format!("item {i}"), |&x| x * 2);
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 
@@ -1256,10 +1242,14 @@ mod tests {
     #[should_panic(expected = "worker panicked on item 13 (14 of 32): boom at 13")]
     fn parallel_map_panic_names_the_failing_item() {
         let h = Harness::new(RunConfig::test());
-        let _ = h.parallel_map((0..32).collect(), |&x: &i32| {
-            assert!(x != 13, "boom at {x}");
-            x
-        });
+        let _ = h.parallel_map_labeled(
+            (0..32).collect(),
+            |_, i| format!("item {i}"),
+            |&x: &i32| {
+                assert!(x != 13, "boom at {x}");
+                x
+            },
+        );
     }
 
     #[test]

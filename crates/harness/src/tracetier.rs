@@ -1,5 +1,5 @@
 //! The harness trace tier: an LRU-capped in-memory map of captured
-//! traces over the optional on-disk [`TraceStore`].
+//! traces over the optional on-disk [`TraceStore`](tlp_tracestore::TraceStore).
 //!
 //! Resolution order (see `Harness::trace_for`) is memory → disk →
 //! capture. The memory tier exists because a sweep touches the same

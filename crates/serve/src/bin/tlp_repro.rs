@@ -497,9 +497,8 @@ fn main() {
             match tlp_tracestore::trace_info(&path) {
                 Ok(i) => {
                     println!(
-                        "{arg}: TLPT v{} '{}' {} records, {} blocks, {} bytes \
+                        "{arg}: TLPT v2 '{}' {} records, {} blocks, {} bytes \
                          ({:.1}x vs v1), {} simpoints (interval {}){}",
-                        i.version,
                         i.name,
                         i.records,
                         i.blocks,

@@ -605,24 +605,6 @@ impl Cache {
     }
 }
 
-/// A cache level as a scheduled component: ticking drains the ready queue
-/// entries into the shared [`TickOutput`] (the engine routes hits,
-/// forwards and prefetcher notifications), and the wake-up contract is
-/// [`Cache::next_ready`].
-impl tlp_events::Component for Cache {
-    type Ctx = TickOutput;
-
-    fn next_tick(&self, _now: Cycle) -> Option<Cycle> {
-        self.next_ready()
-    }
-
-    fn tick(&mut self, now: Cycle, out: &mut TickOutput) -> Option<Cycle> {
-        out.clear();
-        Cache::tick_into(self, now, out);
-        self.next_ready()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

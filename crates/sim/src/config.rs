@@ -1,12 +1,10 @@
 //! System configuration (the paper's Table III).
 
-use serde::{Deserialize, Serialize};
-
 use crate::replacement::ReplKind;
 use crate::types::LINE_SIZE;
 
 /// Geometry and timing of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of sets (power of two).
     pub sets: usize,
@@ -41,7 +39,7 @@ impl CacheConfig {
 }
 
 /// TLB geometry (hit latency modelled, miss falls through).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Number of sets (power of two).
     pub sets: usize,
@@ -52,7 +50,7 @@ pub struct TlbConfig {
 }
 
 /// DRAM controller configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
     /// Number of banks.
     pub banks: usize,
@@ -86,7 +84,7 @@ impl DramConfig {
 }
 
 /// Out-of-order core configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreConfig {
     /// Fetch/dispatch width (instructions per cycle).
     pub fetch_width: usize,
@@ -116,7 +114,7 @@ pub struct CoreConfig {
 }
 
 /// Full system configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Number of cores.
     pub cores: usize,
@@ -136,11 +134,9 @@ pub struct SystemConfig {
     pub dram: DramConfig,
     /// LLC replacement policy (Table III: LRU; the other policies feed the
     /// replacement-ablation experiment).
-    #[serde(default)]
     pub llc_repl: ReplKind,
     /// LLC victim-cache entries (0 = disabled, the paper's configuration;
     /// nonzero sizes feed the victim-cache extension experiment).
-    #[serde(default)]
     pub victim_cache_entries: usize,
 }
 

@@ -651,7 +651,8 @@ impl Core {
     /// is fully blocked on memory: every runnable path waits on a load in
     /// flight, so only a fill can make it runnable again.
     ///
-    /// The contract mirrors `tlp_events::Component::next_tick`: waking
+    /// The contract is the one [`Cache::next_ready`](crate::cache::Cache::next_ready)
+    /// and [`Dram::next_event`](crate::dram::Dram::next_event) keep: waking
     /// too early is a harmless no-op tick, waking too late would change
     /// simulated behavior, so every internal state transition below is
     /// accounted for. `trace_done` is the engine's trace-exhaustion flag

@@ -437,22 +437,6 @@ impl Dram {
     }
 }
 
-/// The DRAM controller as a scheduled component: ticking drains completed
-/// transactions into the shared output buffer (the engine routes them up
-/// the hierarchy), and the wake-up contract is [`Dram::next_event`].
-impl tlp_events::Component for Dram {
-    type Ctx = Vec<Request>;
-
-    fn next_tick(&self, now: Cycle) -> Option<Cycle> {
-        self.next_event(now)
-    }
-
-    fn tick(&mut self, now: Cycle, done: &mut Vec<Request>) -> Option<Cycle> {
-        Dram::tick_into(self, now, done);
-        self.next_event(now)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,10 @@
 //! * [`EngineMode::Cycle`] — the reference implementation and test
 //!   oracle: every component ticks every base cycle.
 //! * [`EngineMode::Event`] (the default) — discrete-event scheduling on
-//!   the [`tlp_events`] component contract, at two grains:
+//!   the components' own wake-up contracts ([`Core::next_wake`],
+//!   [`Cache::next_ready`], [`Dram::next_event`]: waking early is a
+//!   harmless no-op tick, waking late would change behaviour), at two
+//!   grains:
 //!   - *Per system.* Each component (DRAM, the LLC, each core's L2/L1D,
 //!     each core front-end, the speculative-request and DRAM-retry
 //!     queues) reports a conservative wake-up time, the engine takes the
@@ -26,7 +29,7 @@
 //!     its busy neighbours keep alive.
 //!
 //! The per-tick path is allocation-free in steady state: the engine owns
-//! reusable scratch buffers ([`TickScratch`]) that are cleared — never
+//! reusable scratch buffers (`TickScratch`) that are cleared — never
 //! freed — each cycle, DRAM hands rejected requests back by value
 //! instead of being handed clones, and cache/DRAM waiter vectors recycle
 //! through per-component freelists.
@@ -42,7 +45,6 @@
 
 use std::collections::VecDeque;
 
-use tlp_events::Component;
 use tlp_trace::TraceSource;
 
 use crate::cache::{Cache, PrefetchEviction, TickOutput};
@@ -1102,7 +1104,8 @@ impl System {
     #[inline(always)]
     fn tick_llc(&mut self, now: Cycle) {
         let mut out = std::mem::take(&mut self.scratch.tick_out);
-        let _ = Component::tick(&mut self.llc, now, &mut out);
+        out.clear();
+        self.llc.tick_into(now, &mut out);
         for ev in out.pf_useful.drain(..) {
             self.attribute_prefetch_outcome(&ev);
         }
@@ -1391,7 +1394,8 @@ impl System {
     #[inline(always)]
     fn tick_l2(&mut self, i: usize, now: Cycle) {
         let mut out = std::mem::take(&mut self.scratch.tick_out);
-        let _ = Component::tick(&mut self.cores[i].l2, now, &mut out);
+        out.clear();
+        self.cores[i].l2.tick_into(now, &mut out);
         for paddr in out.demand_misses.drain(..) {
             self.cores[i].l2_filter.on_demand_miss(paddr);
         }
@@ -1475,7 +1479,8 @@ impl System {
     #[inline(always)]
     fn tick_l1d(&mut self, i: usize, now: Cycle) {
         let mut out = std::mem::take(&mut self.scratch.tick_out);
-        let _ = Component::tick(&mut self.cores[i].l1d, now, &mut out);
+        out.clear();
+        self.cores[i].l1d.tick_into(now, &mut out);
         for ev in out.pf_useful.drain(..) {
             self.attribute_prefetch_outcome(&ev);
         }

@@ -4,7 +4,7 @@
 //! counters, the event-queue depth, cycles advanced vs ticks executed,
 //! and wall-clock span timings for the per-core wake-up ROB walk and each
 //! tick's cache/core sections — all into the process-global
-//! [`tlp_obs`] registry (`sim_*` metric names), which `tlp_repro
+//! `tlp_obs` registry (`sim_*` metric names), which `tlp_repro
 //! --profile` snapshots after a run.
 //!
 //! Without the feature, [`EngineObs`] is a zero-sized type whose methods

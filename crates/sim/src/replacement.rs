@@ -6,8 +6,6 @@
 //! replacement policy (the paper's §VII argues TLP is orthogonal to
 //! replacement and bypassing work).
 
-use serde::{Deserialize, Serialize};
-
 /// Insertion/access context for context-sensitive policies (SHiP signs
 /// lines by the PC of the filling request).
 #[derive(Debug, Clone, Copy, Default)]
@@ -52,7 +50,7 @@ pub trait ReplacementPolicy: Send {
 
 /// Which replacement policy a cache level uses (configuration knob for the
 /// replacement-ablation experiment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReplKind {
     /// True least-recently-used (the paper's Table III setting).
     Lru,

@@ -1,9 +1,9 @@
 //! Lossless (de)serialization of [`SimReport`] for the harness's on-disk
 //! result cache.
 //!
-//! The workspace's `serde` dependency is an offline shim whose derives are
-//! no-ops (see `shims/README.md`), so this module hand-rolls the JSON
-//! codec. The format mirrors what `serde_json` would emit for the derive:
+//! The workspace builds offline with no serialization framework, so this
+//! module hand-rolls the JSON codec. The format is what a derived
+//! `serde_json` encoding would look like:
 //! one object per struct, field names as keys, `[u64; 4]` arrays as JSON
 //! arrays. Every counter in a report is a `u64` and round-trips exactly;
 //! there are no floats in the format, so the codec is lossless by

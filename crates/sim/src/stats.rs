@@ -1,12 +1,10 @@
 //! Simulation statistics: the counters every figure of the paper is
 //! computed from.
 
-use serde::{Deserialize, Serialize};
-
 use crate::types::Level;
 
 /// Per-cache counters.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct CacheStats {
     /// Demand (load/RFO) accesses that hit.
     pub demand_hits: u64,
@@ -46,7 +44,7 @@ impl CacheStats {
 }
 
 /// DRAM controller counters.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct DramStats {
     /// Demand/prefetch read transactions scheduled.
     pub reads: u64,
@@ -78,7 +76,7 @@ impl DramStats {
 }
 
 /// Off-chip-prediction counters (Figures 2–4).
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct OffChipStats {
     /// Loads predicted off-chip with high confidence (spec issued at core).
     pub issued_now: u64,
@@ -118,7 +116,7 @@ impl OffChipStats {
 }
 
 /// Prefetch-pipeline counters for one prefetcher (Figures 5, 6, 12).
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PrefetchStats {
     /// Candidates produced by the prefetcher.
     pub candidates: u64,
@@ -184,7 +182,7 @@ impl PrefetchStats {
 }
 
 /// Per-core counters.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct CoreStats {
     /// Instructions retired (within the measured window).
     pub instructions: u64,
@@ -218,7 +216,7 @@ impl CoreStats {
 }
 
 /// Everything measured for one core over the simulation window.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct CoreReport {
     /// Workload name driving this core.
     pub workload: String,
@@ -237,7 +235,7 @@ pub struct CoreReport {
 }
 
 /// The full result of one simulation run.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SimReport {
     /// Per-core results.
     pub cores: Vec<CoreReport>,
@@ -246,7 +244,6 @@ pub struct SimReport {
     /// DRAM counters.
     pub dram: DramStats,
     /// LLC victim-cache counters (all zero when disabled).
-    #[serde(default)]
     pub victim: crate::victim::VictimStats,
     /// Total cycles simulated in the measured window.
     pub total_cycles: u64,

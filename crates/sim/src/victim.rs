@@ -13,10 +13,8 @@
 //! traffic is identical with and without the buffer; only read traffic
 //! changes.
 
-use serde::{Deserialize, Serialize};
-
 /// Victim-cache counters.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct VictimStats {
     /// LLC misses that hit in the victim cache (DRAM reads avoided).
     pub hits: u64,

@@ -32,7 +32,6 @@
 
 pub mod catalog;
 pub mod emit;
-pub mod file;
 pub mod gap;
 pub mod record;
 pub mod simpoint;
@@ -41,7 +40,6 @@ pub mod source;
 pub mod spec;
 pub mod stats;
 
-pub use file::{read_trace, write_trace, FileTrace, TraceFile};
 pub use record::{Op, Reg, TraceRecord};
 pub use sink::TraceSink;
-pub use source::{capture, StreamingTrace, TraceSource, VecTrace};
+pub use source::{capture, TraceSource, VecTrace};

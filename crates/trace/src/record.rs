@@ -1,8 +1,6 @@
 //! The instruction record: the unit of communication between workload
 //! generators and the CPU model.
 
-use bytes::{Buf, BufMut};
-
 /// An architectural register name.
 ///
 /// The simulator models a flat namespace of 64 registers; workload
@@ -83,27 +81,6 @@ impl Op {
     pub fn is_branch(self) -> bool {
         matches!(self, Op::Branch)
     }
-
-    fn code(self) -> u8 {
-        match self {
-            Op::Load => 0,
-            Op::Store => 1,
-            Op::Alu => 2,
-            Op::Fp => 3,
-            Op::Branch => 4,
-        }
-    }
-
-    fn from_code(c: u8) -> Option<Self> {
-        Some(match c {
-            0 => Op::Load,
-            1 => Op::Store,
-            2 => Op::Alu,
-            3 => Op::Fp,
-            4 => Op::Branch,
-            _ => return None,
-        })
-    }
 }
 
 /// One dynamic instruction, in the spirit of a ChampSim trace entry but with
@@ -131,9 +108,6 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// Size of the fixed binary encoding produced by [`TraceRecord::encode`].
-    pub const ENCODED_LEN: usize = 29;
-
     /// A load of `size` bytes at `addr` into `dst`, addressed by `srcs`.
     #[must_use]
     pub fn load(pc: u64, addr: u64, size: u8, dst: Reg, srcs: [Option<Reg>; 2]) -> Self {
@@ -214,58 +188,11 @@ impl TraceRecord {
     pub fn line_addr(&self) -> u64 {
         self.addr >> 6
     }
-
-    /// Encodes the record into `buf` using a fixed 30-byte layout.
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u64_le(self.pc);
-        let mut flags = self.op.code();
-        if self.taken {
-            flags |= 0x80;
-        }
-        buf.put_u8(flags);
-        buf.put_u8(self.dst.map_or(0xff, |r| r.0));
-        buf.put_u8(self.src1.map_or(0xff, |r| r.0));
-        buf.put_u8(self.src2.map_or(0xff, |r| r.0));
-        buf.put_u64_le(self.addr);
-        buf.put_u8(self.size);
-        buf.put_u64_le(self.target);
-    }
-
-    /// Decodes a record previously written by [`TraceRecord::encode`].
-    ///
-    /// Returns `None` when the buffer is too short or the op code is invalid.
-    pub fn decode<B: Buf>(buf: &mut B) -> Option<Self> {
-        if buf.remaining() < Self::ENCODED_LEN {
-            return None;
-        }
-        let pc = buf.get_u64_le();
-        let flags = buf.get_u8();
-        let op = Op::from_code(flags & 0x7f)?;
-        let reg = |b: u8| if b == 0xff { None } else { Some(Reg(b)) };
-        let dst = reg(buf.get_u8());
-        let src1 = reg(buf.get_u8());
-        let src2 = reg(buf.get_u8());
-        let addr = buf.get_u64_le();
-        let size = buf.get_u8();
-        let target = buf.get_u64_le();
-        Some(Self {
-            pc,
-            op,
-            dst,
-            src1,
-            src2,
-            addr,
-            size,
-            taken: flags & 0x80 != 0,
-            target,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     #[test]
     fn constructors_set_operands() {
@@ -287,40 +214,6 @@ mod tests {
     fn line_addr_strips_offset() {
         let l = TraceRecord::load(0, 0x1043, 4, Reg(0), [None, None]);
         assert_eq!(l.line_addr(), 0x41);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let records = [
-            TraceRecord::load(
-                0xdead_beef,
-                0x7fff_1234,
-                8,
-                Reg(63),
-                [Some(Reg(0)), Some(Reg(31))],
-            ),
-            TraceRecord::store(0x1, 0x2, 1, None, None),
-            TraceRecord::alu(0x42, Some(Reg(7)), [Some(Reg(8)), None]),
-            TraceRecord::fp(0x44, Some(Reg(9)), [Some(Reg(10)), Some(Reg(11))]),
-            TraceRecord::branch(0x1000, true, 0xff0, Some(Reg(1))),
-            TraceRecord::branch(0x1004, false, 0x1010, None),
-        ];
-        let mut buf = BytesMut::new();
-        for r in &records {
-            r.encode(&mut buf);
-        }
-        assert_eq!(buf.len(), records.len() * TraceRecord::ENCODED_LEN);
-        let mut buf = buf.freeze();
-        for r in &records {
-            assert_eq!(TraceRecord::decode(&mut buf), Some(*r));
-        }
-        assert_eq!(TraceRecord::decode(&mut buf), None);
-    }
-
-    #[test]
-    fn decode_rejects_short_buffer() {
-        let mut short = &[0u8; 5][..];
-        assert_eq!(TraceRecord::decode(&mut short), None);
     }
 
     #[test]

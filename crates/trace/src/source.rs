@@ -1,10 +1,6 @@
 //! Trace sources: where the simulator pulls records from.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-
-use crossbeam::channel::{bounded, Receiver, Sender};
 
 use crate::emit::Workload;
 use crate::record::TraceRecord;
@@ -139,119 +135,6 @@ impl TraceSource for VecTrace {
     }
 }
 
-struct ChannelSink {
-    tx: Sender<TraceRecord>,
-    closed: Arc<AtomicBool>,
-}
-
-impl TraceSink for ChannelSink {
-    fn emit(&mut self, rec: TraceRecord) -> bool {
-        if self.closed.load(Ordering::Relaxed) {
-            return false;
-        }
-        if self.tx.send(rec).is_err() {
-            self.closed.store(true, Ordering::Relaxed);
-            return false;
-        }
-        true
-    }
-
-    fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Relaxed)
-    }
-}
-
-/// A trace streamed from a generator thread over a bounded channel.
-///
-/// This keeps memory bounded for long simulations: the generator runs ahead
-/// of the simulator by at most the channel capacity, and is restarted
-/// automatically when a kernel pass finishes.
-pub struct StreamingTrace {
-    name: String,
-    rx: Receiver<TraceRecord>,
-    closed: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl StreamingTrace {
-    /// Default channel capacity (records buffered ahead of the simulator).
-    pub const DEFAULT_CAPACITY: usize = 8192;
-
-    /// Spawns a generator thread for `workload`.
-    #[must_use]
-    pub fn spawn(workload: Arc<dyn Workload>) -> Self {
-        Self::spawn_with_capacity(workload, Self::DEFAULT_CAPACITY)
-    }
-
-    /// Spawns a generator thread with an explicit channel capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn spawn_with_capacity(workload: Arc<dyn Workload>, capacity: usize) -> Self {
-        assert!(capacity > 0, "channel capacity must be positive");
-        let (tx, rx) = bounded(capacity);
-        let closed = Arc::new(AtomicBool::new(false));
-        let name = workload.name().to_owned();
-        let thread_closed = Arc::clone(&closed);
-        let handle = std::thread::Builder::new()
-            .name(format!("tracegen-{name}"))
-            .spawn(move || {
-                let mut sink = ChannelSink {
-                    tx,
-                    closed: thread_closed,
-                };
-                while !sink.is_closed() {
-                    workload.generate(&mut sink);
-                }
-            })
-            .expect("spawn trace generator thread");
-        Self {
-            name,
-            rx,
-            closed,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl TraceSource for StreamingTrace {
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        self.rx.recv().ok()
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl Drop for StreamingTrace {
-    fn drop(&mut self) {
-        self.closed.store(true, Ordering::Relaxed);
-        // Drain so a blocked sender wakes up and observes the closed flag.
-        while self.rx.try_recv().is_ok() {}
-        // Drop the receiver end implicitly after join: detach by taking.
-        if let Some(h) = self.handle.take() {
-            // Keep draining until the generator exits to avoid deadlock on
-            // the bounded channel.
-            while !h.is_finished() {
-                while self.rx.try_recv().is_ok() {}
-                std::thread::yield_now();
-            }
-            let _ = h.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for StreamingTrace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamingTrace")
-            .field("name", &self.name)
-            .finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,26 +186,5 @@ mod tests {
             assert!(t.next_record().is_some());
         }
         assert!(t.next_record().is_none());
-    }
-
-    #[test]
-    fn streaming_trace_delivers_and_shuts_down() {
-        let mut t = StreamingTrace::spawn(Arc::new(TinyWorkload));
-        let mut n = 0;
-        for _ in 0..50_000 {
-            assert!(t.next_record().is_some());
-            n += 1;
-        }
-        assert_eq!(n, 50_000);
-        drop(t); // must not hang
-    }
-
-    #[test]
-    fn streaming_matches_capture_prefix() {
-        let reference = capture(&TinyWorkload, 100);
-        let mut t = StreamingTrace::spawn(Arc::new(TinyWorkload));
-        for r in &reference {
-            assert_eq!(t.next_record().as_ref(), Some(r));
-        }
     }
 }

@@ -28,8 +28,9 @@ use std::fs::File;
 use std::io::{BufReader, Read, Write};
 use std::path::Path;
 
-use tlp_trace::file::ReadTraceError;
 use tlp_trace::{Reg, TraceRecord};
+
+use crate::v2::ReadTraceError;
 
 /// Encoded size of one ChampSim `input_instr`.
 pub const CHAMPSIM_RECORD_LEN: usize = 64;

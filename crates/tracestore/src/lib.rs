@@ -8,8 +8,9 @@
 //!   delta-encoded PCs/addresses as zigzag LEB128 varints in independently
 //!   decodable 64K-record blocks, with a block index, checksums and
 //!   SimPoints in a seek-from-end footer. [`v2::StreamTrace`] implements
-//!   `TraceSource` directly, so replay never materializes the trace;
-//!   [`v2::TraceReader`] still accepts v1 files.
+//!   `TraceSource` directly, so replay never materializes the trace. The
+//!   retired flat v1 format is refused on open (`unsupported trace
+//!   version 1`); only its size survives, as the [`v1_bytes`] baseline.
 //! * [`store`] — the **content-addressed on-disk store**: one file per
 //!   [`store::TraceKey`] (workload + capture environment + budget, salted
 //!   with [`store::TRACE_VERSION`]), written with the temp-name +
@@ -33,7 +34,9 @@ pub mod workload;
 pub use champsim::{read_champsim, write_champsim, ChampSimInstr};
 pub use reconstitute::weighted_merge;
 pub use store::{capture_desc, import_desc, TraceKey, TraceLoad, TraceStore, TRACE_VERSION};
-pub use v2::{encode_trace_v2, trace_info, write_trace_v2, StreamTrace, TraceInfo, TraceReader};
+pub use v2::{
+    encode_trace_v2, trace_info, v1_bytes, write_trace_v2, ReadTraceError, StreamTrace, TraceInfo,
+};
 pub use workload::{TraceWorkload, TRACE_NAMESPACE};
 
 /// SimPoints computed at capture time use these fixed parameters (with

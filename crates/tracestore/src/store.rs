@@ -12,11 +12,10 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use tlp_trace::file::ReadTraceError;
 use tlp_trace::simpoint::SimPoint;
 use tlp_trace::TraceRecord;
 
-use crate::v2::{write_trace_v2, StreamTrace, TraceReader};
+use crate::v2::{write_trace_v2, ReadTraceError, StreamTrace};
 
 /// Salt folded into every [`TraceKey`]. Bump this whenever trace capture
 /// or the v2 encoding changes records, so stale on-disk traces can never
@@ -248,16 +247,6 @@ impl TraceStore {
         }
         out.sort();
         Ok(out)
-    }
-}
-
-/// Convenience: open the trace for `key`, ignoring the corrupt/miss
-/// distinction (both mean "not available, re-capture").
-#[must_use]
-pub fn open_if_present(store: &TraceStore, key: TraceKey) -> Option<TraceReader> {
-    match store.open_trace(key) {
-        TraceLoad::Hit(t) => Some(TraceReader::V2(t)),
-        TraceLoad::Miss | TraceLoad::Corrupt => None,
     }
 }
 

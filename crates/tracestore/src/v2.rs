@@ -1,9 +1,11 @@
 //! TLPT v2: the compressed, block-structured, streamable trace format.
 //!
-//! The v1 format in `tlp_trace::file` is a flat array of fixed 29-byte
-//! records — simple, but ~6× larger than it needs to be and only usable by
-//! materializing the whole trace in memory. v2 keeps the record model and
-//! fixes both:
+//! The retired v1 format was a flat array of fixed 29-byte records behind
+//! an 18-byte header — simple, but ~6× larger than it needs to be and only
+//! usable by materializing the whole trace in memory. Its size survives as
+//! the baseline [`v1_bytes`] that compression ratios are quoted against; a
+//! v1 file itself is refused with [`ReadTraceError::BadVersion`]. v2 keeps
+//! the record model and fixes both:
 //!
 //! ```text
 //! magic   "TLP2"                          4 bytes
@@ -40,12 +42,11 @@
 //! constructors produce them, so capture → v2 → replay is bit-identical.
 
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use tlp_trace::file::{read_trace, ReadTraceError};
 use tlp_trace::simpoint::SimPoint;
-use tlp_trace::{Op, Reg, TraceRecord, TraceSource, VecTrace};
+use tlp_trace::{Op, Reg, TraceRecord, TraceSource};
 
 /// Records per block; the delta coder restarts at every block boundary.
 pub const BLOCK_RECORDS: usize = 65_536;
@@ -57,6 +58,53 @@ const VERSION2: u16 = 2;
 
 /// Worst-case encoded record: flags + 3 regs + three 10-byte varints + size.
 const MAX_RECORD_LEN: usize = 1 + 3 + 10 + 10 + 1 + 10;
+
+/// Errors arising when reading a trace file.
+#[derive(Debug)]
+pub enum ReadTraceError {
+    /// Underlying I/O failure.
+    Io(io::Error),
+    /// The file does not start with a TLPT magic.
+    BadMagic,
+    /// The file's format version is not supported.
+    BadVersion(u16),
+    /// The header or records are truncated or malformed.
+    Corrupt(&'static str),
+}
+
+impl std::fmt::Display for ReadTraceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReadTraceError::Io(e) => write!(f, "i/o error reading trace: {e}"),
+            ReadTraceError::BadMagic => write!(f, "not a TLPT trace file"),
+            ReadTraceError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
+            ReadTraceError::Corrupt(what) => write!(f, "corrupt trace file: {what}"),
+        }
+    }
+}
+
+impl std::error::Error for ReadTraceError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ReadTraceError::Io(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<io::Error> for ReadTraceError {
+    fn from(e: io::Error) -> Self {
+        ReadTraceError::Io(e)
+    }
+}
+
+/// Bytes the retired flat v1 format needs for `records` records of
+/// workload `name`: an 18-byte header, the name, then 29 bytes per record.
+/// The baseline that [`TraceInfo::compression_ratio`] is quoted against.
+#[must_use]
+pub fn v1_bytes(name: &str, records: u64) -> u64 {
+    18 + name.len() as u64 + records * 29
+}
 
 /// FNV-1a 64 over raw bytes (the per-block checksum).
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -622,100 +670,24 @@ impl std::fmt::Debug for StreamTrace {
     }
 }
 
-/// A reader accepting both trace format generations: v1 files are
-/// materialized (the flat format cannot be streamed without a scan), v2
-/// files stream through [`StreamTrace`].
-#[derive(Debug)]
-pub enum TraceReader {
-    /// A materialized v1 trace.
-    V1(VecTrace),
-    /// A streamed v2 trace.
-    V2(Box<StreamTrace>),
-}
-
-impl TraceReader {
-    /// Opens a trace file of either format, dispatching on the magic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReadTraceError`] when the file cannot be read or parsed.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, ReadTraceError> {
-        let path = path.as_ref();
-        let mut magic = [0u8; 4];
-        File::open(path)?
-            .read_exact(&mut magic)
-            .map_err(|_| ReadTraceError::Corrupt("short header"))?;
-        match &magic {
-            b"TLP2" => Ok(Self::V2(Box::new(StreamTrace::open(path)?))),
-            b"TLPT" => Ok(Self::V1(read_trace(path)?.into_source())),
-            _ => Err(ReadTraceError::BadMagic),
-        }
-    }
-
-    /// Format version of the underlying file.
-    #[must_use]
-    pub fn version(&self) -> u16 {
-        match self {
-            Self::V1(_) => 1,
-            Self::V2(_) => 2,
-        }
-    }
-
-    /// Total records before looping.
-    #[must_use]
-    pub fn total_records(&self) -> u64 {
-        match self {
-            Self::V1(t) => t.len() as u64,
-            Self::V2(t) => t.total_records(),
-        }
-    }
-
-    /// SimPoints from the v2 footer; v1 files carry none.
-    #[must_use]
-    pub fn simpoints(&self) -> &[SimPoint] {
-        match self {
-            Self::V1(_) => &[],
-            Self::V2(t) => t.simpoints(),
-        }
-    }
-}
-
-impl TraceSource for TraceReader {
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        match self {
-            Self::V1(t) => t.next_record(),
-            Self::V2(t) => t.next_record(),
-        }
-    }
-
-    fn name(&self) -> &str {
-        match self {
-            Self::V1(t) => t.name(),
-            Self::V2(t) => t.name(),
-        }
-    }
-}
-
 /// Header/footer summary of a trace file, for `--trace-info`.
 #[derive(Debug, Clone)]
 pub struct TraceInfo {
-    /// Format generation (1 or 2).
-    pub version: u16,
     /// Workload name recorded at capture time.
     pub name: String,
     /// Whether replay loops.
     pub looping: bool,
     /// Total records before looping.
     pub records: u64,
-    /// Blocks in the file (1 for v1, which is a single flat array).
+    /// Blocks in the file.
     pub blocks: usize,
     /// On-disk size in bytes.
     pub file_bytes: u64,
-    /// Size the same records occupy in the flat v1 encoding.
+    /// Size the same records occupy in the flat v1 encoding ([`v1_bytes`]).
     pub v1_bytes: u64,
-    /// SimPoints in the footer (empty for v1).
+    /// SimPoints in the footer (empty when phase analysis was not run).
     pub simpoints: Vec<SimPoint>,
-    /// BBV interval the SimPoints were computed with (0 for v1).
+    /// BBV interval the SimPoints were computed with (0 when none were).
     pub bbv_interval: u64,
 }
 
@@ -727,41 +699,23 @@ impl TraceInfo {
     }
 }
 
-/// Reads the header/footer summary of a trace file of either format.
+/// Reads the header/footer summary of a v2 trace file.
 ///
 /// # Errors
 ///
-/// Returns [`ReadTraceError`] when the file cannot be read or parsed.
+/// Returns [`ReadTraceError`] when the file cannot be read or parsed; a
+/// v1 file is [`ReadTraceError::BadVersion`]`(1)`.
 pub fn trace_info(path: impl AsRef<Path>) -> Result<TraceInfo, ReadTraceError> {
-    let path = path.as_ref();
-    let reader = TraceReader::open(path)?;
-    let file_bytes = std::fs::metadata(path)?.len();
-    let v1_bytes = |name: &str, records: u64| 18 + name.len() as u64 + records * 29;
-    Ok(match reader {
-        TraceReader::V1(t) => TraceInfo {
-            version: 1,
-            v1_bytes: v1_bytes(t.name(), t.len() as u64),
-            name: t.name().to_owned(),
-            // v1 looping is visible only via `into_source` behaviour; the
-            // harness writes all captures looping, so re-read the flag.
-            looping: read_trace(path)?.looping,
-            records: t.len() as u64,
-            blocks: 1,
-            file_bytes,
-            simpoints: Vec::new(),
-            bbv_interval: 0,
-        },
-        TraceReader::V2(t) => TraceInfo {
-            version: 2,
-            v1_bytes: v1_bytes(t.name(), t.total_records()),
-            name: t.name().to_owned(),
-            looping: t.looping(),
-            records: t.total_records(),
-            blocks: t.blocks(),
-            file_bytes,
-            simpoints: t.simpoints().to_vec(),
-            bbv_interval: t.bbv_interval(),
-        },
+    let t = StreamTrace::open(path)?;
+    Ok(TraceInfo {
+        v1_bytes: v1_bytes(t.name(), t.total_records()),
+        name: t.name().to_owned(),
+        looping: t.looping(),
+        records: t.total_records(),
+        blocks: t.blocks(),
+        file_bytes: t.file_bytes(),
+        simpoints: t.simpoints().to_vec(),
+        bbv_interval: t.bbv_interval(),
     })
 }
 
@@ -774,6 +728,15 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tlp-v2-test-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         dir.join("trace.tlpt")
+    }
+
+    /// A retired v1 file: magic "TLPT", version 1, then zeroed flags,
+    /// record count and name length, padded past the 22-byte short-header
+    /// check so the magic and version are what gets judged.
+    fn v1_file() -> Vec<u8> {
+        let mut bytes = b"TLPT\x01\x00".to_vec();
+        bytes.resize(32, 0);
+        bytes
     }
 
     /// A mixed record stream exercising every op and delta polarity.
@@ -870,45 +833,27 @@ mod tests {
     }
 
     #[test]
-    fn reader_accepts_both_generations() {
-        let recs = mixed_records(300);
-        let dir = tmp("dispatch");
-        let v1 = dir.with_file_name("v1.tlpt");
-        let v2 = dir.with_file_name("v2.tlpt");
-        tlp_trace::write_trace(&v1, "w", true, &recs).expect("v1 write");
-        write_trace_v2(&v2, "w", true, &recs, &[], 0).expect("v2 write");
-        for path in [&v1, &v2] {
-            let mut r = TraceReader::open(path).expect("open");
-            assert_eq!(r.name(), "w");
-            assert_eq!(r.total_records(), 300);
-            for rec in &recs {
-                assert_eq!(r.next_record().as_ref(), Some(rec));
-            }
-        }
-        assert_eq!(TraceReader::open(&v1).expect("v1").version(), 1);
-        assert_eq!(TraceReader::open(&v2).expect("v2").version(), 2);
-        std::fs::remove_file(&v1).ok();
-        std::fs::remove_file(&v2).ok();
-    }
-
-    #[test]
     fn trace_info_reports_both_generations() {
         let recs = mixed_records(400);
         let dir = tmp("info");
         let v1 = dir.with_file_name("info1.tlpt");
         let v2 = dir.with_file_name("info2.tlpt");
-        tlp_trace::write_trace(&v1, "w", true, &recs).expect("v1 write");
+        std::fs::write(&v1, v1_file()).expect("v1 write");
         let sps = vec![SimPoint {
             interval: 0,
             weight: 1.0,
         }];
         write_trace_v2(&v2, "w", true, &recs, &sps, 100).expect("v2 write");
-        let i1 = trace_info(&v1).expect("info v1");
-        assert_eq!((i1.version, i1.records, i1.blocks), (1, 400, 1));
-        assert_eq!(i1.file_bytes, i1.v1_bytes);
+        // v1 is refused by name; v2 is summarized against v1's flat size.
+        let e = trace_info(&v1).expect_err("v1 is not readable");
+        assert!(matches!(e, ReadTraceError::BadVersion(1)));
+        assert_eq!(e.to_string(), "unsupported trace version 1");
         let i2 = trace_info(&v2).expect("info v2");
-        assert_eq!((i2.version, i2.records), (2, 400));
+        assert_eq!((i2.name.as_str(), i2.looping, i2.records), ("w", true, 400));
+        assert_eq!((i2.blocks, i2.bbv_interval), (1, 100));
         assert_eq!(i2.simpoints, sps);
+        assert_eq!(i2.v1_bytes, 18 + 1 + 400 * 29);
+        assert_eq!(i2.file_bytes, std::fs::metadata(&v2).expect("stat").len());
         assert!(
             i2.compression_ratio() > 1.5,
             "even adversarial mixed records compress: {:.2}",
@@ -970,17 +915,28 @@ mod tests {
             StreamTrace::open(&path),
             Err(ReadTraceError::BadMagic)
         ));
-        assert!(matches!(
-            TraceReader::open(&path),
-            Err(ReadTraceError::BadMagic)
-        ));
-        // A v1 file handed directly to the v2 opener names the version.
-        let recs = mixed_records(10);
-        tlp_trace::write_trace(&path, "w", false, &recs).expect("v1 write");
+        // A v1 file handed to the v2 opener names the version.
+        std::fs::write(&path, v1_file()).expect("v1 write");
         assert!(matches!(
             StreamTrace::open(&path),
             Err(ReadTraceError::BadVersion(1))
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn missing_file_is_io_error() {
+        let err = StreamTrace::open("/nonexistent/path/trace.tlpt").unwrap_err();
+        assert!(matches!(err, ReadTraceError::Io(_)));
+        assert!(err.to_string().contains("i/o error"));
+    }
+
+    #[test]
+    fn error_display_is_meaningful() {
+        assert!(ReadTraceError::BadMagic.to_string().contains("TLPT"));
+        assert!(ReadTraceError::BadVersion(7).to_string().contains('7'));
+        assert!(ReadTraceError::Corrupt("short header")
+            .to_string()
+            .contains("short header"));
     }
 }

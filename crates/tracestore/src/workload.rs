@@ -11,11 +11,10 @@
 use std::path::{Path, PathBuf};
 
 use tlp_trace::emit::{Suite, Workload};
-use tlp_trace::file::ReadTraceError;
 use tlp_trace::sink::TraceSink;
 use tlp_trace::TraceSource;
 
-use crate::v2::TraceReader;
+use crate::v2::{ReadTraceError, StreamTrace};
 
 /// Prefix of the workload namespace (`trace:NAME`).
 pub const TRACE_NAMESPACE: &str = "trace:";
@@ -37,7 +36,7 @@ impl TraceWorkload {
     /// Returns [`ReadTraceError`] when the file cannot be read or parsed.
     pub fn open(name: &str, path: impl Into<PathBuf>) -> Result<Self, ReadTraceError> {
         let path = path.into();
-        let _ = TraceReader::open(&path)?;
+        let _ = StreamTrace::open(&path)?;
         Ok(Self {
             name: format!("{TRACE_NAMESPACE}{name}"),
             path,
@@ -58,7 +57,7 @@ impl Workload for TraceWorkload {
 
     fn generate(&self, sink: &mut dyn TraceSink) {
         let mut reader =
-            TraceReader::open(&self.path).expect("trace file validated at TraceWorkload::open");
+            StreamTrace::open(&self.path).expect("trace file validated at TraceWorkload::open");
         while let Some(rec) = reader.next_record() {
             if !sink.emit(rec) {
                 return;

@@ -5,7 +5,6 @@
 
 pub use tlp_baselines as baselines;
 pub use tlp_core as core;
-pub use tlp_events as events;
 pub use tlp_harness as harness;
 pub use tlp_obs as obs;
 pub use tlp_perceptron as perceptron;

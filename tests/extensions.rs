@@ -7,7 +7,8 @@ use tlp::sim::engine::{CoreSetup, System};
 use tlp::sim::replacement::ReplKind;
 use tlp::sim::SystemConfig;
 use tlp::trace::catalog::{self, Scale};
-use tlp::trace::{capture, FileTrace, TraceSource, VecTrace};
+use tlp::trace::{capture, TraceSource, VecTrace};
+use tlp::tracestore::{write_trace_v2, StreamTrace};
 
 fn harness() -> Harness {
     Harness::new(RunConfig::test())
@@ -148,7 +149,7 @@ fn trace_files_replay_identically_to_captures() {
     let dir = std::env::temp_dir().join("tlp-ext-test");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("mcf.tlpt");
-    tlp::trace::write_trace(&path, "spec.mcf_06", true, &records).expect("write");
+    write_trace_v2(&path, "spec.mcf_06", true, &records, &[], 0).expect("write");
 
     let run = |trace: Box<dyn TraceSource>| {
         let mut sys = System::new(SystemConfig::test_tiny(1), vec![CoreSetup::new(trace)]);
@@ -156,7 +157,7 @@ fn trace_files_replay_identically_to_captures() {
         (r.total_cycles, r.dram_transactions())
     };
     let from_vec = run(Box::new(VecTrace::looping("spec.mcf_06", records)));
-    let from_file = run(Box::new(FileTrace::open(&path).expect("open")));
+    let from_file = run(Box::new(StreamTrace::open(&path).expect("open")));
     assert_eq!(
         from_vec, from_file,
         "file-backed replay must be cycle-identical"

@@ -11,7 +11,8 @@ use tlp::sim::replacement::{ReplCtx, ReplKind};
 use tlp::sim::request::Request;
 use tlp::sim::types::Level;
 use tlp::sim::victim::VictimCache;
-use tlp::trace::{Op, Reg, TraceRecord, VecTrace};
+use tlp::trace::{Op, Reg, TraceRecord, TraceSource, VecTrace};
+use tlp::tracestore::{write_trace_v2, StreamTrace};
 
 fn small_cache(sets: usize, ways: usize, mshrs: usize) -> Cache {
     Cache::new(
@@ -25,6 +26,11 @@ fn small_cache(sets: usize, ways: usize, mshrs: usize) -> Cache {
             prefetch_queue: 8,
         },
     )
+}
+
+/// A per-process scratch file for one trace-file property.
+fn trace_tmp(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("tlp-prop-{tag}-{}.tlpt", std::process::id()))
 }
 
 proptest! {
@@ -189,18 +195,36 @@ proptest! {
                 _ => TraceRecord::branch(pc, addr % 2 == 0, addr, Some(Reg(reg))),
             })
             .collect();
-        let bytes = tlp::trace::file::encode_trace("prop", looping, &records);
-        let tf = tlp::trace::file::decode_trace(bytes).expect("roundtrip");
-        prop_assert_eq!(tf.records, records);
-        prop_assert_eq!(tf.looping, looping);
-        prop_assert_eq!(tf.name.as_str(), "prop");
+        let path = trace_tmp("roundtrip");
+        write_trace_v2(&path, "prop", looping, &records, &[], 0).expect("write");
+        let mut t = StreamTrace::open(&path).expect("roundtrip");
+        prop_assert_eq!(t.read_records(), records);
+        prop_assert_eq!(t.looping(), looping);
+        prop_assert_eq!(t.name(), "prop");
+        std::fs::remove_file(&path).ok();
     }
 
-    /// Decoding arbitrary bytes never panics — it returns an error or, for
-    /// coincidentally valid input, a parsed trace.
+    /// Opening arbitrary bytes as a trace never panics — it returns an
+    /// error or, for coincidentally valid input, a readable trace. The
+    /// bytes are tried raw and framed by a v2 header and a footer trailer,
+    /// so the footer and block-index checks see hostile input too.
     #[test]
-    fn trace_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
-        let _ = tlp::trace::file::decode_trace(&bytes[..]);
+    fn trace_decode_never_panics(
+        bytes in proptest::collection::vec(any::<u8>(), 0..400),
+        footer_len in 0u64..400,
+    ) {
+        let path = trace_tmp("decode");
+        let mut framed = b"TLP2\x02\x00\x00\x00\x00\x00".to_vec();
+        framed.extend_from_slice(&bytes);
+        framed.extend_from_slice(&footer_len.to_le_bytes());
+        framed.extend_from_slice(b"TLPF");
+        for candidate in [&bytes, &framed] {
+            std::fs::write(&path, candidate).expect("write");
+            if let Ok(mut t) = StreamTrace::open(&path) {
+                let _ = t.read_records();
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     /// The SHiP signature counter stays within its 2-bit bounds under

@@ -9,9 +9,8 @@ use std::path::PathBuf;
 use tlp::harness::{Harness, L1Pf, RunConfig, Scheme};
 use tlp::trace::catalog::{single_core_set, Scale};
 use tlp::trace::emit::Suite;
-use tlp::trace::file::encode_trace;
 use tlp::trace::source::capture;
-use tlp::tracestore::{encode_trace_v2, trace_info, TraceReader};
+use tlp::tracestore::{encode_trace_v2, trace_info, v1_bytes, StreamTrace};
 
 fn rc() -> RunConfig {
     let mut rc = RunConfig::test();
@@ -44,7 +43,7 @@ fn v2_is_at_least_3x_smaller_than_v1_on_gap_workloads() {
     assert!(!gap.is_empty(), "catalog has GAP workloads");
     for w in gap {
         let recs = capture(w.as_ref(), budget);
-        let v1 = encode_trace(w.name(), true, &recs).len();
+        let v1 = v1_bytes(w.name(), recs.len() as u64);
         let v2 = encode_trace_v2(w.name(), true, &recs, &[], 0).len();
         let ratio = v1 as f64 / v2 as f64;
         assert!(
@@ -106,16 +105,13 @@ fn independent_captures_are_byte_identical_including_simpoints() {
     assert_eq!(files[0].1, files[1].1, "capture bytes are deterministic");
 
     // The footer carries usable capture-time SimPoints.
-    let info = trace_info(&files[0].0).expect("trace info");
-    assert_eq!(info.version, 2);
+    let info = trace_info(&files[0].0).expect("captures are written as v2");
     assert!(!info.simpoints.is_empty(), "footer has SimPoints");
     let total: f64 = info.simpoints.iter().map(|p| p.weight).sum();
     assert!((total - 1.0).abs() < 1e-9, "SimPoint weights sum to 1");
     // And the streaming reader surfaces the same regions.
-    match TraceReader::open(&files[0].0).expect("open") {
-        TraceReader::V2(t) => assert_eq!(t.simpoints(), &info.simpoints[..]),
-        TraceReader::V1(_) => panic!("captures are written as v2"),
-    }
+    let t = StreamTrace::open(&files[0].0).expect("open");
+    assert_eq!(t.simpoints(), &info.simpoints[..]);
     for dir in &dirs {
         let _ = std::fs::remove_dir_all(dir);
     }
