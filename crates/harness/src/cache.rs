@@ -10,9 +10,10 @@
 //!   matter how many figures request it;
 //! * **disk** — optional (`--cache-dir`), one JSON file per key in the
 //!   [`tlp_sim::serial`] format, so repeated invocations are
-//!   simulation-free. Safe for concurrent writers across threads and
-//!   processes (uniquely named temp files + atomic rename, lock-free
-//!   readers), with an optional size cap enforced by an LRU sweep.
+//!   simulation-free. [`DiskCache`] is only that codec: the files live in
+//!   a [`ContentStore`], the disk discipline the trace store shares (safe
+//!   for concurrent writers across threads and processes, lock-free
+//!   readers, an optional LRU size cap).
 //!
 //! On top of the tiers sits a **single-flight layer**
 //! ([`ResultCache::get_or_run`]): the first requester of a missing cell
@@ -28,9 +29,7 @@
 //! that property across thread counts and cache states.
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -38,6 +37,7 @@ use parking_lot::RwLock;
 
 use tlp_obs::{Counter, Histogram, MetricsRegistry};
 use tlp_sim::{serial, SimReport, Timeline};
+use tlp_tracestore::store::{content_hash, ContentStore, Load};
 
 /// Salt folded into every [`RunKey`]. Bump this whenever a change to the
 /// simulator or workload generation alters results, so stale on-disk cache
@@ -48,32 +48,12 @@ pub const CODE_VERSION: &str = "tlp-cells-v1";
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RunKey(u128);
 
-/// FNV-1a over `bytes`, starting from `seed`.
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl RunKey {
-    /// Hashes a canonical cell description (two independent 64-bit FNV-1a
-    /// streams — the grid is thousands of cells, far below the ~2⁶⁴
-    /// birthday bound of a 128-bit key). The [`CODE_VERSION`] salt is
-    /// folded into both halves.
+    /// Hashes a canonical cell description ([`content_hash`] under the
+    /// [`CODE_VERSION`] salt).
     #[must_use]
     pub fn from_desc(desc: &str) -> Self {
-        let lo = fnv1a(
-            fnv1a(0xcbf2_9ce4_8422_2325, CODE_VERSION.as_bytes()),
-            desc.as_bytes(),
-        );
-        let hi = fnv1a(
-            fnv1a(0x6c62_272e_07bb_0142, CODE_VERSION.as_bytes()),
-            desc.as_bytes(),
-        );
-        Self((u128::from(hi) << 64) | u128::from(lo))
+        Self(content_hash(CODE_VERSION, desc))
     }
 
     /// The key as 32 hex digits (the on-disk file stem).
@@ -117,38 +97,26 @@ pub fn custom_desc(env: &str, workload: &str, scheme_key: &str, l1pf: &str, tag:
 }
 
 /// What [`DiskCache::load_classified`] found for a key.
-#[derive(Debug)]
-pub enum DiskLoad {
-    /// A well-formed entry.
-    Hit(SimReport),
-    /// No entry on disk.
-    Miss,
-    /// An entry existed but did not decode; it has been deleted so the
-    /// next store rewrites it instead of leaving the corruption in place.
-    Corrupt,
+pub type DiskLoad = Load<SimReport>;
+
+/// Reads one JSON entry and decodes it; text that does not decode is
+/// `InvalidData`, which the store classifies as corrupt.
+fn read_json<T>(
+    path: &Path,
+    decode: fn(&str) -> Result<T, serial::SerialError>,
+) -> std::io::Result<T> {
+    let text = std::fs::read_to_string(path)?;
+    decode(&text).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
-/// Per-writer sequence folded into every temp-file name. The pid alone is
-/// not collision-free: two threads of one process storing the same key
-/// would truncate and interleave writes into a single temp file and could
-/// rename a torn entry over the real one.
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// How many stores happen between automatic size-cap sweeps.
-const SWEEP_EVERY: u64 = 32;
-
-/// The on-disk tier: one `<key>.json` per cell under a cache directory,
-/// safe for concurrent writers across threads *and* processes (every
-/// entry is published by an atomic rename of a uniquely named temp file;
-/// readers never take a lock).
+/// The on-disk tier: one `<key>.json` report per cell (plus
+/// `<key>.timeline.json` blobs) in a [`ContentStore`], safe for
+/// concurrent writers across threads *and* processes.
 #[derive(Debug)]
 pub struct DiskCache {
-    dir: PathBuf,
-    cap_bytes: Option<u64>,
-    stores: AtomicU64,
-    /// Starts detached; adopted into the owning [`ResultCache`]'s
+    /// Its eviction counter is adopted into the owning [`ResultCache`]'s
     /// metrics registry as `run_cache_evicted_total`.
-    evicted: Counter,
+    store: ContentStore,
 }
 
 impl DiskCache {
@@ -159,180 +127,84 @@ impl DiskCache {
     /// Returns the underlying I/O error when the directory cannot be
     /// created.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
         Ok(Self {
-            dir,
-            cap_bytes: None,
-            stores: AtomicU64::new(0),
-            evicted: Counter::detached(),
+            store: ContentStore::open(dir, "json")?,
         })
     }
 
-    /// Caps the directory at `cap` bytes of entries: every 32nd store
-    /// (`SWEEP_EVERY`) runs an LRU [`sweep`](DiskCache::sweep) that
-    /// deletes oldest-modified entries until the total fits.
+    /// Caps the directory at `cap` bytes of entries (reports and timeline
+    /// blobs alike): every
+    /// [`SWEEP_EVERY`](tlp_tracestore::store::SWEEP_EVERY)th store of
+    /// either kind runs an LRU [`sweep`](DiskCache::sweep).
     #[must_use]
-    pub fn with_cap_bytes(mut self, cap: u64) -> Self {
-        self.cap_bytes = Some(cap);
-        self
+    pub fn with_cap_bytes(self, cap: u64) -> Self {
+        Self {
+            store: self.store.with_cap_bytes(cap),
+        }
     }
 
     /// The directory backing this cache.
     #[must_use]
     pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The configured size cap, if any.
-    #[must_use]
-    pub fn cap_bytes(&self) -> Option<u64> {
-        self.cap_bytes
+        self.store.dir()
     }
 
     /// Entries deleted by size-cap sweeps so far.
     #[must_use]
     pub fn evicted(&self) -> u64 {
-        self.evicted.get()
-    }
-
-    fn path_for(&self, key: RunKey) -> PathBuf {
-        self.dir.join(format!("{}.json", key.hex()))
+        self.store.evicted().get()
     }
 
     /// Loads one report, distinguishing an absent entry from a corrupt
-    /// one. A corrupt entry (torn write from a crashed process, bit rot,
-    /// an incompatible format) is deleted on sight — before this, it sat
-    /// on disk masquerading as a valid entry until some store happened to
-    /// overwrite it — and the deletion is counted so operators can see
-    /// cache corruption in the engine stats.
+    /// one (see [`Load`]). A corrupt entry (torn write from a crashed
+    /// process, bit rot, an incompatible format) is deleted on sight, and
+    /// the owning [`ResultCache`] counts it so operators can see cache
+    /// corruption in the engine stats.
     #[must_use]
     pub fn load_classified(&self, key: RunKey) -> DiskLoad {
-        let path = self.path_for(key);
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            return DiskLoad::Miss;
-        };
-        match serial::report_from_json(&text) {
-            Ok(report) => DiskLoad::Hit(report),
-            Err(_) => {
-                let _ = std::fs::remove_file(&path);
-                DiskLoad::Corrupt
-            }
-        }
+        self.store.load(&format!("{}.json", key.hex()), |path| {
+            read_json(path, serial::report_from_json)
+        })
     }
 
-    /// Loads one report, or `None` when absent or undecodable (a corrupt
-    /// entry is deleted and behaves like a miss).
-    #[must_use]
-    pub fn load(&self, key: RunKey) -> Option<SimReport> {
-        match self.load_classified(key) {
-            DiskLoad::Hit(report) => Some(report),
-            DiskLoad::Miss | DiskLoad::Corrupt => None,
-        }
-    }
-
-    /// Stores one report (atomically: uniquely named temp file + rename,
-    /// so concurrent writers — same process or not — never publish a torn
-    /// entry). Best-effort — a full disk degrades to cache misses, not
-    /// failures.
+    /// Stores one report (atomically, so concurrent writers — same
+    /// process or not — never publish a torn entry). Best-effort — a full
+    /// disk degrades to cache misses, not failures.
     pub fn store(&self, key: RunKey, report: &SimReport) {
-        let tmp = self.dir.join(format!(
-            "{}.tmp.{}.{}",
-            key.hex(),
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let write = || -> std::io::Result<()> {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(serial::report_to_json(report).as_bytes())?;
-            std::fs::rename(&tmp, self.path_for(key))
-        };
-        if write().is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        if self.cap_bytes.is_some()
-            && self.stores.fetch_add(1, Ordering::Relaxed) % SWEEP_EVERY == SWEEP_EVERY - 1
-        {
-            self.sweep();
-        }
-    }
-
-    /// Path of a timeline blob. Timeline artifacts live *next to* report
-    /// entries under a distinct `<key>.timeline.json` name: they must
-    /// never be probed by [`DiskCache::load_classified`], whose
-    /// corruption check (and delete-on-sight) validates the report
-    /// format. The `.json` suffix keeps them visible to the size-cap
-    /// sweep, so a capped cache bounds blobs too.
-    fn timeline_path_for(&self, key: RunKey) -> PathBuf {
-        self.dir.join(format!("{}.timeline.json", key.hex()))
+        let json = serial::report_to_json(report);
+        let _ = self
+            .store
+            .write(&format!("{}.json", key.hex()), json.as_bytes());
     }
 
     /// Loads one timeline blob; a corrupt blob is deleted and reads as a
-    /// miss (it will simply be re-captured).
+    /// miss (it will simply be re-captured). Blobs live *next to* report
+    /// entries under a distinct `<key>.timeline.json` name, so a report
+    /// load never probes (or deletes) one; the `.json` suffix keeps them
+    /// under the size cap.
     #[must_use]
     pub fn load_timeline(&self, key: RunKey) -> Option<Timeline> {
-        let path = self.timeline_path_for(key);
-        let text = std::fs::read_to_string(&path).ok()?;
-        match serial::timeline_from_json(&text) {
-            Ok(t) => Some(t),
-            Err(_) => {
-                let _ = std::fs::remove_file(&path);
-                None
-            }
+        match self
+            .store
+            .load(&format!("{}.timeline.json", key.hex()), |path| {
+                read_json(path, serial::timeline_from_json)
+            }) {
+            Load::Hit(t) => Some(t),
+            Load::Miss | Load::Corrupt => None,
         }
     }
 
-    /// Stores one timeline blob (same atomic temp-file + rename protocol
-    /// as [`DiskCache::store`]).
+    /// Stores one timeline blob (best-effort, like [`DiskCache::store`]).
     pub fn store_timeline(&self, key: RunKey, timeline: &Timeline) {
-        let tmp = self.dir.join(format!(
-            "{}.timeline.tmp.{}.{}",
-            key.hex(),
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let write = || -> std::io::Result<()> {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(serial::timeline_to_json(timeline).as_bytes())?;
-            std::fs::rename(&tmp, self.timeline_path_for(key))
-        };
-        if write().is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
+        let json = serial::timeline_to_json(timeline);
+        let _ = self
+            .store
+            .write(&format!("{}.timeline.json", key.hex()), json.as_bytes());
     }
 
-    /// Size-cap enforcement: while the entries exceed the cap, delete the
-    /// least-recently-modified ones. Concurrent sweeps from several
-    /// processes are safe (a file deleted twice is deleted once); a
-    /// deleted entry costs a re-simulation, never a wrong result.
+    /// Runs the size-cap sweep now (see [`ContentStore::sweep`]).
     pub fn sweep(&self) {
-        let Some(cap) = self.cap_bytes else { return };
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        let mut files: Vec<(std::time::SystemTime, u64, PathBuf)> = entries
-            .filter_map(Result::ok)
-            .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
-            .filter_map(|e| {
-                let meta = e.metadata().ok()?;
-                let mtime = meta.modified().ok()?;
-                Some((mtime, meta.len(), e.path()))
-            })
-            .collect();
-        let mut total: u64 = files.iter().map(|(_, len, _)| len).sum();
-        if total <= cap {
-            return;
-        }
-        files.sort();
-        for (_, len, path) in files {
-            if total <= cap {
-                break;
-            }
-            if std::fs::remove_file(&path).is_ok() {
-                total = total.saturating_sub(len);
-                self.evicted.inc();
-            }
-        }
+        self.store.sweep();
     }
 }
 
@@ -632,7 +504,7 @@ impl ResultCache {
         if let Some(d) = &cache.disk {
             cache
                 .registry
-                .adopt_counter("run_cache_evicted_total", &d.evicted);
+                .adopt_counter("run_cache_evicted_total", d.store.evicted());
         }
         cache
     }
@@ -693,9 +565,9 @@ impl ResultCache {
     /// Disk-tier load with corruption accounting.
     fn load_disk(&self, key: RunKey) -> Option<SimReport> {
         match self.disk.as_ref()?.load_classified(key) {
-            DiskLoad::Hit(report) => Some(report),
-            DiskLoad::Miss => None,
-            DiskLoad::Corrupt => {
+            Load::Hit(report) => Some(report),
+            Load::Miss => None,
+            Load::Corrupt => {
                 self.corrupt.inc();
                 None
             }
@@ -1012,14 +884,28 @@ mod tests {
         let disk = DiskCache::open(&dir).expect("open");
         let key = RunKey::from_desc("cell");
         let entry = disk.dir().join(format!("{}.json", key.hex()));
-        std::fs::write(&entry, "not json").expect("write garbage");
         let cache = ResultCache::with_disk(disk);
-        assert!(cache.lookup(key).is_none());
-        assert!(!entry.exists(), "corrupt entry must be deleted on sight");
-        assert_eq!(cache.stats().corrupt, 1);
+        let json = serial::report_to_json(&report(1));
+        let garbage: [&[u8]; 3] = [
+            b"not json",
+            &[0xff, 0xfe, 0x00, 0x80],
+            &json.as_bytes()[..json.len() / 2],
+        ];
+        for (i, bytes) in garbage.into_iter().enumerate() {
+            std::fs::write(&entry, bytes).expect("write garbage");
+            assert!(cache.lookup(key).is_none());
+            assert!(!entry.exists(), "corrupt entry must be deleted on sight");
+            assert_eq!(cache.stats().corrupt, i as u64 + 1);
+        }
         // The next lookup is a clean miss, not another corruption.
         assert!(cache.lookup(key).is_none());
-        assert_eq!(cache.stats().corrupt, 1);
+        assert_eq!(cache.stats().corrupt, 3);
+        // An unreadable entry (here a directory; likewise EACCES or
+        // EMFILE) is a miss that keeps the entry and counts nothing.
+        std::fs::create_dir(&entry).expect("mkdir");
+        assert!(cache.lookup(key).is_none());
+        assert!(entry.is_dir(), "an unreadable entry is kept");
+        assert_eq!(cache.stats().corrupt, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1044,7 +930,7 @@ mod tests {
                 });
             }
         });
-        assert!(disk.load(key).is_some());
+        assert!(matches!(disk.load_classified(key), Load::Hit(_)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1062,9 +948,26 @@ mod tests {
         disk.store(new, &report(2));
         disk.sweep();
         if set_old.is_ok() {
-            assert!(disk.load(old).is_none(), "oldest entry must be evicted");
+            assert!(
+                matches!(disk.load_classified(old), Load::Miss),
+                "oldest entry must be evicted"
+            );
         }
         assert!(disk.evicted() > 0, "sweep must count evictions");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn timeline_stores_count_towards_the_size_cap_sweep() {
+        let dir = tmp_dir("evict-timeline");
+        let disk = DiskCache::open(&dir).expect("open").with_cap_bytes(1);
+        for i in 0..tlp_tracestore::store::SWEEP_EVERY {
+            disk.store_timeline(RunKey::from_desc(&format!("t{i}")), &Timeline::default());
+        }
+        assert!(
+            disk.evicted() > 0,
+            "a timeline-only writer must still sweep"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

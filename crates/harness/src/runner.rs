@@ -206,9 +206,6 @@ pub struct Harness {
     workloads: Vec<Arc<dyn Workload>>,
     traces: Mutex<TraceTier>,
     trace_store: Option<Arc<TraceStore>>,
-    /// Explicit memory-tier cap; `None` = unbounded without a store,
-    /// [`DEFAULT_TRACE_MEM_CAP`] with one.
-    trace_mem_cap: Option<usize>,
     tstats: TraceTierCounters,
     cache: ResultCache,
 }
@@ -232,7 +229,6 @@ impl Harness {
             workloads: catalog::single_core_set(rc.scale),
             traces: Mutex::new(TraceTier::default()),
             trace_store: None,
-            trace_mem_cap: None,
             tstats: TraceTierCounters::default(),
             cache: ResultCache::in_memory(),
         }
@@ -261,8 +257,7 @@ impl Harness {
     /// (created if absent): fresh captures are persisted as TLPT v2 and
     /// later resolutions — in this process or a cold one — stream the
     /// stored file back instead of re-capturing. Also caps the in-memory
-    /// trace tier at [`DEFAULT_TRACE_MEM_CAP`] workloads unless
-    /// [`Harness::with_trace_mem_cap`] says otherwise.
+    /// trace tier at [`DEFAULT_TRACE_MEM_CAP`] workloads.
     ///
     /// # Errors
     ///
@@ -271,22 +266,6 @@ impl Harness {
     pub fn with_trace_dir(mut self, dir: impl Into<std::path::PathBuf>) -> std::io::Result<Self> {
         self.trace_store = Some(Arc::new(TraceStore::open(dir)?));
         Ok(self)
-    }
-
-    /// Shares an already-open trace store (e.g. the serve daemon's single
-    /// store across sessions).
-    #[must_use]
-    pub fn with_trace_store(mut self, store: Arc<TraceStore>) -> Self {
-        self.trace_store = Some(store);
-        self
-    }
-
-    /// Caps the in-memory trace tier at `cap` workloads (LRU eviction;
-    /// entries not yet persisted to the store stay pinned regardless).
-    #[must_use]
-    pub fn with_trace_mem_cap(mut self, cap: usize) -> Self {
-        self.trace_mem_cap = Some(cap.max(1));
-        self
     }
 
     /// The configured trace store, when one backs this harness.
@@ -499,13 +478,14 @@ impl Harness {
         recs
     }
 
-    /// The memory tier's effective entry cap.
+    /// The memory tier's entry cap: unbounded without a store, since an
+    /// evicted capture could only come back as a different trace.
     fn effective_trace_cap(&self) -> usize {
-        self.trace_mem_cap.unwrap_or(if self.trace_store.is_some() {
+        if self.trace_store.is_some() {
             DEFAULT_TRACE_MEM_CAP
         } else {
             usize::MAX
-        })
+        }
     }
 
     /// The run-budget fragment of every cell description: anything here

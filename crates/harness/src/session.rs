@@ -94,20 +94,8 @@ impl Session {
         }
     }
 
-    /// Adds the on-disk cache tier under `dir` (created if absent).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error when the directory cannot be
-    /// created.
-    pub fn with_cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> std::io::Result<Self> {
-        self.harness = self.harness.with_cache_dir(dir)?;
-        Ok(self)
-    }
-
-    /// Adds a pre-configured on-disk tier (e.g. a size-capped
-    /// [`tlp_harness::cache::DiskCache`](crate::cache::DiskCache) — the
-    /// `tlp-serve` daemon uses this for its shared store).
+    /// Adds the on-disk cache tier (optionally size-capped with
+    /// [`DiskCache::with_cap_bytes`](crate::cache::DiskCache::with_cap_bytes)).
     #[must_use]
     pub fn with_disk_cache(mut self, disk: crate::cache::DiskCache) -> Self {
         self.harness = self.harness.with_disk_cache(disk);

@@ -3,7 +3,7 @@
 //! Usage:
 //! ```text
 //! tlp-repro [--test|--quick|--full] [--engine cycle|event] [--jobs N]
-//!           [--cache-dir DIR] [fig1 fig2 ... | all]
+//!           [--cache-dir DIR [--cache-cap-mb MB]] [fig1 fig2 ... | all]
 //!           [--scheme NAME [--l1pf NAME]]
 //!           [--list-schemes] [--list-prefetchers] [--list-components]
 //!           [--profile FILE.json]
@@ -25,12 +25,13 @@
 //! cache vs TLP), `ext7` (online-RL coordination head-to-head +
 //! learning curve).
 //!
-//! `--serve HOST:PORT` turns the process into a simulation daemon (the
-//! same service as the `tlp_serve` binary, sharing this invocation's
-//! scale/engine/cache flags); `--connect HOST:PORT` runs `--scheme`
-//! sweeps against a remote daemon instead of simulating locally — the
-//! rendered tables are byte-identical either way.
+//! `--serve HOST:PORT` turns the process into the simulation daemon,
+//! serving this invocation's scale/engine/cache/trace flags to every
+//! client; `--connect HOST:PORT` runs `--scheme` sweeps against a remote
+//! daemon instead of simulating locally — the rendered tables are
+//! byte-identical either way.
 
+use tlp_harness::cache::DiskCache;
 use tlp_harness::experiments::{
     ext01_offchip, ext02_replacement, ext03_thresholds, ext04_features, ext05_storage,
     ext06_victim, ext07_rl, fig01, fig02, fig03, fig04, fig05, fig06, fig10, fig11, fig12, fig13,
@@ -67,6 +68,7 @@ fn main() {
     let mut formats: Vec<&'static str> = Vec::new();
     let mut jobs: Option<usize> = None;
     let mut cache_dir: Option<std::path::PathBuf> = None;
+    let mut cache_cap_mb: Option<u64> = None;
     let mut no_cache = false;
     let mut engine: Option<tlp_sim::EngineMode> = None;
     let mut schemes: Vec<String> = Vec::new();
@@ -201,6 +203,13 @@ fn main() {
                     std::process::exit(2);
                 }
             },
+            "--cache-cap-mb" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
+                Some(mb) if mb >= 1 => cache_cap_mb = Some(mb),
+                _ => {
+                    eprintln!("--cache-cap-mb requires a size in MiB >= 1");
+                    std::process::exit(2);
+                }
+            },
             "--trace-dir" => match it.next() {
                 Some(dir) => trace_dir = Some(dir.into()),
                 None => {
@@ -251,7 +260,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "tlp-repro [--test|--quick|--full] [--list] [--all] [--engine cycle|event] [--jobs N] [--cache-dir DIR] [--no-cache] [--json] [--csv] [--chart] [--out DIR] [--scheme NAME]... [--l1pf NAME] [experiments...]\n\
+                    "tlp-repro [--test|--quick|--full] [--list] [--all] [--engine cycle|event] [--jobs N] [--cache-dir DIR [--cache-cap-mb MB]] [--no-cache] [--json] [--csv] [--chart] [--out DIR] [--scheme NAME]... [--l1pf NAME] [experiments...]\n\
                      experiments: {} table45 all\n\
                      --list prints the experiment ids, one per line\n\
                      --all runs every experiment (same as the `all` operand)\n\
@@ -259,6 +268,7 @@ fn main() {
                      both modes produce bit-identical tables, event mode skips idle cycles and stalled cores\n\
                      --jobs N sets the run-engine worker count (default: all cores, or $TLP_THREADS)\n\
                      --cache-dir DIR persists simulation results on disk; a re-run is simulation-free\n\
+                     --cache-cap-mb MB caps --cache-dir; the oldest entries are evicted LRU\n\
                      --no-cache disables the on-disk tier (the in-process cache always dedups the grid)\n\
                      --json/--csv write <id>.json/<id>.csv per result into --out DIR (default: results/)\n\
                      --chart also prints each result's first column as an ASCII bar chart\n\
@@ -352,6 +362,10 @@ fn main() {
         eprintln!("--stats queries a live daemon; add --connect HOST:PORT");
         std::process::exit(2);
     }
+    if cache_cap_mb.is_some() && cache_dir.is_none() {
+        eprintln!("--cache-cap-mb only applies with --cache-dir DIR");
+        std::process::exit(2);
+    }
     let unknown: Vec<&String> = requested
         .iter()
         .filter(|r| !ALL_EXPERIMENTS.contains(&r.as_str()) && !EXTRA_NAMES.contains(&r.as_str()))
@@ -414,13 +428,17 @@ fn main() {
     }
     let mut session = Session::new(rc);
     if let (Some(dir), false) = (&cache_dir, no_cache) {
-        session = match session.with_cache_dir(dir) {
-            Ok(s) => s,
+        let disk = match DiskCache::open(dir) {
+            Ok(d) => d,
             Err(e) => {
                 eprintln!("cannot open cache dir {}: {e}", dir.display());
                 std::process::exit(1);
             }
         };
+        session = session.with_disk_cache(match cache_cap_mb {
+            Some(mb) => disk.with_cap_bytes(mb.saturating_mul(1024 * 1024)),
+            None => disk,
+        });
     }
     if let Some(dir) = &trace_dir {
         session = match session.with_trace_dir(dir) {
@@ -545,8 +563,7 @@ fn main() {
         std::process::exit(2);
     }
     // Daemon mode: hand the whole session (registry + cache + pool) to
-    // the service and serve forever. Same behavior as the `tlp_serve`
-    // binary, sharing this invocation's scale/engine/cache flags.
+    // the service and serve forever.
     if let Some(addr) = &serve_addr {
         let server = match Server::bind(addr.as_str(), session) {
             Ok(s) => s,

@@ -17,9 +17,13 @@
 //!   so a client starts receiving rows while the rest of its grid is
 //!   still running.
 //! - **A shared disk tier.** With `--cache-dir`, reports persist across
-//!   daemon restarts; the store is safe for concurrent writers in
+//!   daemon restarts; the store (`tlp_tracestore::store::ContentStore`,
+//!   shared with the trace store) is safe for concurrent writers in
 //!   multiple processes (unique temp names + atomic rename) and can be
 //!   size-capped with LRU eviction (`--cache-cap-mb`).
+//!
+//! The daemon is started with `tlp_repro --serve HOST:PORT`, which serves
+//! that invocation's scale, engine, cache and trace flags.
 //!
 //! The wire format ([`protocol`]) reuses the cache's own JSON codec
 //! ([`tlp_sim::serial`]) for payloads, so a streamed report is

@@ -103,8 +103,8 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Serves forever on the calling thread (the `tlp_serve` /
-    /// `tlp_repro --serve` daemon path).
+    /// Serves forever on the calling thread (the `tlp_repro --serve`
+    /// daemon path).
     ///
     /// # Errors
     ///

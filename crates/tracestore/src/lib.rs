@@ -11,12 +11,15 @@
 //!   `TraceSource` directly, so replay never materializes the trace. The
 //!   retired flat v1 format is refused on open (`unsupported trace
 //!   version 1`); only its size survives, as the [`v1_bytes`] baseline.
-//! * [`store`] — the **content-addressed on-disk store**: one file per
-//!   [`store::TraceKey`] (workload + capture environment + budget, salted
-//!   with [`store::TRACE_VERSION`]), written with the temp-name +
-//!   atomic-rename + corrupt-delete discipline the result cache proved
-//!   out. `Harness::trace_for` resolves memory → disk → capture through
-//!   it, so a warm trace dir makes cold-process runs capture nothing.
+//! * [`store`] — the **content-addressed on-disk stores**:
+//!   [`store::ContentStore`] owns the one disk discipline (salted
+//!   double-FNV key, temp name + atomic rename, classified load with
+//!   corrupt-delete, LRU size cap) that both the result cache
+//!   (`tlp_harness::cache::DiskCache`) and [`store::TraceStore`] use. The
+//!   trace store keeps one file per [`store::TraceKey`] (workload +
+//!   capture environment + budget, salted with [`store::TRACE_VERSION`]).
+//!   `Harness::trace_for` resolves memory → disk → capture through it, so
+//!   a warm trace dir makes cold-process runs capture nothing.
 //! * [`champsim`] — the **ChampSim importer**: the 64-byte `input_instr`
 //!   layout → `TraceRecord` streams, with one-instruction lookahead for
 //!   branch targets. Imported traces become first-class workloads via the

@@ -48,6 +48,8 @@ use std::path::Path;
 use tlp_trace::simpoint::SimPoint;
 use tlp_trace::{Op, Reg, TraceRecord, TraceSource};
 
+use crate::store::{fnv1a, FNV_OFFSET};
+
 /// Records per block; the delta coder restarts at every block boundary.
 pub const BLOCK_RECORDS: usize = 65_536;
 
@@ -104,16 +106,6 @@ impl From<io::Error> for ReadTraceError {
 #[must_use]
 pub fn v1_bytes(name: &str, records: u64) -> u64 {
     18 + name.len() as u64 + records * 29
-}
-
-/// FNV-1a 64 over raw bytes (the per-block checksum).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn op_code(op: Op) -> u8 {
@@ -331,7 +323,7 @@ pub fn encode_trace_v2(
             offset,
             byte_len: (out.len() - start) as u64,
             records: chunk.len() as u64,
-            checksum: fnv1a(&out[start..]),
+            checksum: fnv1a(FNV_OFFSET, &out[start..]),
         });
     }
 
@@ -538,7 +530,7 @@ impl StreamTrace {
         // replay cannot hit corruption and decodes infallibly.
         for i in 0..t.blocks.len() {
             t.load_block(i).map_err(ReadTraceError::Io)?;
-            if fnv1a(&t.buf[..t.cur_len]) != t.blocks[i].checksum {
+            if fnv1a(FNV_OFFSET, &t.buf[..t.cur_len]) != t.blocks[i].checksum {
                 return Err(ReadTraceError::Corrupt("block checksum mismatch"));
             }
             let mut st = DeltaState::default();
