@@ -16,6 +16,8 @@
 //!   extension experiments can compare all three off-chip prediction
 //!   strategies head-to-head.
 
+#![forbid(unsafe_code)]
+
 pub mod hermes;
 pub mod lp;
 pub mod ppf;

@@ -2,3 +2,5 @@
 //! the TLP paper at bench scale. See `benches/figures.rs` (one benchmark
 //! per figure/table) and `benches/substrate.rs` (micro-benchmarks of the
 //! simulator substrate itself).
+
+#![forbid(unsafe_code)]

@@ -35,6 +35,8 @@
 //! assert!(report.total_kb() < 8.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod features;
 pub mod flp;
 pub mod offchip_base;

@@ -211,7 +211,10 @@ impl DiskCache {
 /// Snapshot of the engine's cache counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Cell lookups (batch submissions + result collection).
+    /// Cell lookups: one per unique cell of each submitted batch, plus
+    /// one per step of a cached stateful sequence. A cell counts once
+    /// per batch however often the batch repeats it (the repeats count
+    /// as `deduped`).
     pub requested: u64,
     /// Lookups answered from the in-memory tier.
     pub mem_hits: u64,
@@ -227,15 +230,6 @@ pub struct EngineStats {
     pub evicted: u64,
     /// Cells actually simulated.
     pub simulated: u64,
-    /// The subset of `simulated` that ran inline on a collection path
-    /// (a cache miss outside any [`run_cells`] batch). Migrated
-    /// experiments plan their whole grid up front, so this staying 0 is
-    /// the plan-covers-collection contract; a nonzero value means cells
-    /// are simulating single-threaded where the worker pool should have
-    /// run them.
-    ///
-    /// [`run_cells`]: crate::Harness::run_cells
-    pub inline_simulated: u64,
     /// Duplicate cells coalesced inside submitted batches before any
     /// lookup (the grid-dedup counter).
     pub deduped: u64,
@@ -264,7 +258,7 @@ impl EngineStats {
     #[must_use]
     pub fn summary_line(&self) -> String {
         format!(
-            "requested={} deduped={} mem_hits={} disk_hits={} coalesced={} corrupt={} evicted={} inline={} simulated={} hit_rate={:.1}%",
+            "requested={} deduped={} mem_hits={} disk_hits={} coalesced={} corrupt={} evicted={} simulated={} hit_rate={:.1}%",
             self.requested,
             self.deduped,
             self.mem_hits,
@@ -272,7 +266,6 @@ impl EngineStats {
             self.coalesced,
             self.corrupt,
             self.evicted,
-            self.inline_simulated,
             self.simulated,
             self.hit_rate_percent()
         )
@@ -436,7 +429,6 @@ pub struct ResultCache {
     coalesced: Counter,
     corrupt: Counter,
     simulated: Counter,
-    inline_simulated: Counter,
     deduped: Counter,
     lookup_ns: Histogram,
     simulate_ns: Histogram,
@@ -479,7 +471,6 @@ impl ResultCache {
             coalesced: registry.counter("run_cache_coalesced_total"),
             corrupt: registry.counter("run_cache_corrupt_total"),
             simulated: registry.counter("run_cache_simulated_total"),
-            inline_simulated: registry.counter("run_cache_inline_simulated_total"),
             deduped: registry.counter("run_cache_deduped_total"),
             lookup_ns: registry.histogram("run_cache_lookup_ns"),
             simulate_ns: registry.histogram("run_cache_simulate_ns"),
@@ -771,13 +762,6 @@ impl ResultCache {
         self.deduped.add(n);
     }
 
-    /// Records one simulation that ran inline on a collection path
-    /// instead of inside a submitted batch (see
-    /// [`EngineStats::inline_simulated`]).
-    pub fn note_inline_simulated(&self) {
-        self.inline_simulated.inc();
-    }
-
     /// Counter snapshot, read back from the metrics registry (the
     /// `# run-engine:` summary line is therefore rendered from the same
     /// counters `--profile` and `STATS` expose).
@@ -791,7 +775,6 @@ impl ResultCache {
             corrupt: self.corrupt.get(),
             evicted: self.disk.as_ref().map_or(0, DiskCache::evicted),
             simulated: self.simulated.get(),
-            inline_simulated: self.inline_simulated.get(),
             deduped: self.deduped.get(),
         }
     }

@@ -11,7 +11,7 @@ use tlp_sim::replacement::ReplKind;
 use tlp_sim::SystemConfig;
 
 use crate::report::{ExperimentResult, Row};
-use crate::runner::{geomean_speedup_percent, mean, Harness};
+use crate::runner::{geomean_speedup_percent, mean, Harness, Machine};
 use crate::scheme::{L1Pf, Scheme};
 
 use super::pct_delta;
@@ -25,28 +25,29 @@ pub fn run(h: &Harness) -> ExperimentResult {
         "% (speedup geomean / ΔDRAM mean) + baseline LLC MPKI",
     );
     let workloads = h.active_workloads();
-    // One deduplicated batch over the whole (policy × scheme × workload)
-    // grid; the per-policy loops below collect from the cache.
+    // One deduplicated batch over the whole (policy × workload × scheme)
+    // grid: a (Baseline, TLP) report pair per policy and workload.
     let mut cells = Vec::new();
     for kind in ReplKind::ALL {
         let mut cfg = SystemConfig::cascade_lake(1);
         cfg.llc_repl = kind;
         for w in &workloads {
             for scheme in [Scheme::Baseline, Scheme::Tlp] {
-                cells.push(h.cell_custom(w, scheme, L1Pf::Ipcp, cfg.clone(), kind.name()));
+                let machine = Machine::Custom(Box::new(cfg.clone()), kind.name().to_owned());
+                let w = std::slice::from_ref(w);
+                cells.push(h.cell(w, scheme.resolve(), L1Pf::Ipcp.resolve(), machine));
             }
         }
     }
-    h.run_cells(cells);
-    for kind in ReplKind::ALL {
-        let mut cfg = SystemConfig::cascade_lake(1);
-        cfg.llc_repl = kind;
-        let per_w: Vec<_> = workloads
-            .iter()
-            .map(|w| {
-                let base =
-                    h.run_single_custom(w, Scheme::Baseline, L1Pf::Ipcp, cfg.clone(), kind.name());
-                let tlp = h.run_single_custom(w, Scheme::Tlp, L1Pf::Ipcp, cfg.clone(), kind.name());
+    let reports = h.run(&cells);
+    for (kind, runs) in ReplKind::ALL
+        .into_iter()
+        .zip(reports.chunks(2 * workloads.len()))
+    {
+        let per_w: Vec<_> = runs
+            .chunks(2)
+            .map(|pair| {
+                let (base, tlp) = (&pair[0], &pair[1]);
                 (
                     pct_delta(tlp.ipc(), base.ipc()),
                     pct_delta(

@@ -11,7 +11,7 @@
 use tlp_sim::SystemConfig;
 
 use crate::report::{ExperimentResult, Row};
-use crate::runner::{geomean_speedup_percent, mean, Harness};
+use crate::runner::{geomean_speedup_percent, mean, Harness, Machine};
 use crate::scheme::{L1Pf, Scheme};
 
 use super::pct_delta;
@@ -36,29 +36,36 @@ pub fn run(h: &Harness) -> ExperimentResult {
         ("TLP+VC", Scheme::Tlp, true),
         ("Hermes", Scheme::Hermes, false),
     ];
+    // Per workload: the plain baseline, then one cell per configuration.
     let mut cells = vec![];
     for w in &workloads {
-        cells.push(h.cell_single(w, Scheme::Baseline, L1Pf::Ipcp, None));
+        let cell = |scheme: Scheme, machine| {
+            h.cell(
+                std::slice::from_ref(w),
+                scheme.resolve(),
+                L1Pf::Ipcp.resolve(),
+                machine,
+            )
+        };
+        cells.push(cell(Scheme::Baseline, Machine::CascadeLake(None)));
         for (_, scheme, vc) in configs {
-            cells.push(if vc {
-                h.cell_custom(w, scheme, L1Pf::Ipcp, vc_cfg.clone(), "vc64")
-            } else {
-                h.cell_single(w, scheme, L1Pf::Ipcp, None)
-            });
+            cells.push(cell(
+                scheme,
+                if vc {
+                    Machine::Custom(Box::new(vc_cfg.clone()), "vc64".to_owned())
+                } else {
+                    Machine::CascadeLake(None)
+                },
+            ));
         }
     }
-    h.run_cells(cells);
-    let per_w: Vec<_> = workloads
-        .iter()
-        .map(|w| {
-            let base = h.run_single(w, Scheme::Baseline, L1Pf::Ipcp);
+    let reports = h.run(&cells);
+    let per_w: Vec<_> = reports
+        .chunks(1 + configs.len())
+        .map(|runs| {
+            let base = &runs[0];
             let mut rows = Vec::new();
-            for (label, scheme, vc) in configs {
-                let r = if vc {
-                    h.run_single_custom(w, scheme, L1Pf::Ipcp, vc_cfg.clone(), "vc64")
-                } else {
-                    h.run_single(w, scheme, L1Pf::Ipcp)
-                };
+            for ((label, _, _), r) in configs.iter().zip(&runs[1..]) {
                 rows.push((
                     label,
                     pct_delta(r.ipc(), base.ipc()),

@@ -85,8 +85,8 @@ fn run_epoch(h: &Harness, w: &Arc<dyn Workload>, agent: &SharedAgent) -> SimRepo
 /// Runs the learning curve on the first active workload.
 ///
 /// The epochs are a stateful sequence (the agent persists across them),
-/// so they go through [`Harness::run_sequence`]: all-or-nothing cached,
-/// keyed per epoch, and re-simulated as a whole when any epoch is cold.
+/// so they run as one all-or-nothing cached sequence: keyed per epoch, and
+/// re-simulated as a whole when any epoch is cold.
 #[must_use]
 pub fn run_learning_curve(h: &Harness) -> ExperimentResult {
     let w = h.active_workloads()[0].clone();

@@ -7,7 +7,7 @@ use crate::runner::Harness;
 use crate::scheme::{L1Pf, Scheme};
 use tlp_trace::emit::Suite;
 
-use super::{mean_summaries, pct_delta, plan_mix_cells};
+use super::{mean_summaries, pct_delta, sweep_mixes, with_baseline};
 
 /// Runs the experiment.
 #[must_use]
@@ -19,15 +19,15 @@ pub fn run(h: &Harness) -> ExperimentResult {
     );
     let columns = vec!["Hermes".to_string()];
     let mixes = generate_mixes(&h.active_workloads(), h.rc.mixes_per_suite / 2 + 1);
-    plan_mix_cells(h, &mixes, &[Scheme::Hermes], L1Pf::Ipcp, None, None);
+    let grid = with_baseline(&[Scheme::Hermes], L1Pf::Ipcp);
+    let runs = sweep_mixes(h, &mixes, &grid, None, None);
     let rows: Vec<_> = mixes
         .iter()
-        .map(|m| {
-            let base = h.run_mix(&m.workloads, Scheme::Baseline, L1Pf::Ipcp, None);
-            let hermes = h.run_mix(&m.workloads, Scheme::Hermes, L1Pf::Ipcp, None);
+        .zip(&runs)
+        .map(|(m, r)| {
             let delta = pct_delta(
-                hermes.dram_transactions() as f64,
-                base.dram_transactions() as f64,
+                r[1].shared.dram_transactions() as f64,
+                r[0].shared.dram_transactions() as f64,
             );
             (
                 m.suite,

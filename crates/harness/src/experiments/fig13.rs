@@ -10,7 +10,7 @@ use crate::report::{ExperimentResult, Row};
 use crate::runner::Harness;
 use crate::scheme::{L1Pf, Scheme};
 
-use super::{geomean_summaries, pct_delta, plan_mix_cells};
+use super::{geomean_summaries, pct_delta, sweep_mixes, with_baseline};
 
 /// Per-core isolation bandwidth used for IPC_single (the workload alone on
 /// the multi-core machine can use the full bus).
@@ -27,19 +27,17 @@ pub fn run(h: &Harness, l1pf: L1Pf) -> ExperimentResult {
     let schemes = Scheme::HEADLINE;
     let columns: Vec<String> = schemes.iter().map(|s| s.name().to_string()).collect();
     let mixes = generate_mixes(&h.active_workloads(), h.rc.mixes_per_suite / 2 + 1);
-    plan_mix_cells(h, &mixes, &schemes, l1pf, None, Some(SINGLE_GBPS));
+    let grid = with_baseline(&schemes, l1pf);
+    let runs = sweep_mixes(h, &mixes, &grid, None, Some(SINGLE_GBPS));
     let tagged: Vec<_> = mixes
         .iter()
-        .map(|m| {
-            let base = h.run_mix(&m.workloads, Scheme::Baseline, l1pf, None);
-            let base_ws = h.weighted_ipc(&m.workloads, &base, Scheme::Baseline, l1pf, SINGLE_GBPS);
+        .zip(&runs)
+        .map(|(m, r)| {
+            let base_ws = r[0].weighted_ipc();
             let values: Vec<(String, f64)> = schemes
                 .iter()
-                .map(|&s| {
-                    let r = h.run_mix(&m.workloads, s, l1pf, None);
-                    let ws = h.weighted_ipc(&m.workloads, &r, s, l1pf, SINGLE_GBPS);
-                    (s.name().to_string(), pct_delta(ws, base_ws))
-                })
+                .zip(&r[1..])
+                .map(|(s, r)| (s.name().to_string(), pct_delta(r.weighted_ipc(), base_ws)))
                 .collect();
             (m.suite, Row::new(m.name.clone(), values))
         })

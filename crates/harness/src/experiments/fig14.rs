@@ -6,7 +6,7 @@ use crate::report::{ExperimentResult, Row};
 use crate::runner::Harness;
 use crate::scheme::{L1Pf, Scheme};
 
-use super::{mean_summaries, pct_delta, plan_mix_cells};
+use super::{mean_summaries, pct_delta, sweep_mixes, with_baseline};
 
 /// Runs the experiment for one L1D prefetcher.
 #[must_use]
@@ -19,17 +19,17 @@ pub fn run(h: &Harness, l1pf: L1Pf) -> ExperimentResult {
     let schemes = Scheme::HEADLINE;
     let columns: Vec<String> = schemes.iter().map(|s| s.name().to_string()).collect();
     let mixes = generate_mixes(&h.active_workloads(), h.rc.mixes_per_suite / 2 + 1);
-    plan_mix_cells(h, &mixes, &schemes, l1pf, None, None);
+    let runs = sweep_mixes(h, &mixes, &with_baseline(&schemes, l1pf), None, None);
     let tagged: Vec<_> = mixes
         .iter()
-        .map(|m| {
-            let base = h
-                .run_mix(&m.workloads, Scheme::Baseline, l1pf, None)
-                .dram_transactions() as f64;
+        .zip(&runs)
+        .map(|(m, r)| {
+            let base = r[0].shared.dram_transactions() as f64;
             let values: Vec<(String, f64)> = schemes
                 .iter()
-                .map(|&s| {
-                    let t = h.run_mix(&m.workloads, s, l1pf, None).dram_transactions() as f64;
+                .zip(&r[1..])
+                .map(|(s, r)| {
+                    let t = r.shared.dram_transactions() as f64;
                     (s.name().to_string(), pct_delta(t, base))
                 })
                 .collect();

@@ -9,7 +9,7 @@ use crate::runner::{geomean_speedup_percent, Harness};
 use crate::scheme::{L1Pf, Scheme};
 
 use super::fig13::SINGLE_GBPS;
-use super::{pct_delta, plan_mix_cells};
+use super::{pct_delta, sweep_mixes, with_baseline};
 
 /// Runs the experiment.
 #[must_use]
@@ -25,19 +25,17 @@ pub fn run(h: &Harness) -> ExperimentResult {
         .map(|&v| Scheme::Variant(v))
         .collect();
     let mixes = generate_mixes(&h.active_workloads(), h.rc.mixes_per_suite / 2 + 1);
-    plan_mix_cells(h, &mixes, &schemes, l1pf, None, Some(SINGLE_GBPS));
+    let grid = with_baseline(&schemes, l1pf);
+    let runs = sweep_mixes(h, &mixes, &grid, None, Some(SINGLE_GBPS));
     let per_mix: Vec<Row> = mixes
         .iter()
-        .map(|m| {
-            let base = h.run_mix(&m.workloads, Scheme::Baseline, l1pf, None);
-            let base_ws = h.weighted_ipc(&m.workloads, &base, Scheme::Baseline, l1pf, SINGLE_GBPS);
+        .zip(&runs)
+        .map(|(m, r)| {
+            let base_ws = r[0].weighted_ipc();
             let values: Vec<(String, f64)> = schemes
                 .iter()
-                .map(|&s| {
-                    let r = h.run_mix(&m.workloads, s, l1pf, None);
-                    let ws = h.weighted_ipc(&m.workloads, &r, s, l1pf, SINGLE_GBPS);
-                    (s.name().to_string(), pct_delta(ws, base_ws))
-                })
+                .zip(&r[1..])
+                .map(|(s, r)| (s.name().to_string(), pct_delta(r.weighted_ipc(), base_ws)))
                 .collect();
             Row::new(m.name.clone(), values)
         })

@@ -7,7 +7,7 @@ use crate::report::{ExperimentResult, Row};
 use crate::runner::{geomean_speedup_percent, mean, Harness};
 use crate::scheme::{L1Pf, Scheme};
 
-use super::{pct_delta, plan_mix_cells};
+use super::{pct_delta, sweep_mixes, with_baseline};
 
 /// The sweep points (GB/s per core).
 pub const BANDWIDTHS: [f64; 5] = [1.6, 3.2, 6.4, 12.8, 25.6];
@@ -32,21 +32,18 @@ pub fn run(h: &Harness) -> ExperimentResult {
         Scheme::HermesTlp,
     ];
     let mixes = generate_mixes(&h.active_workloads(), h.rc.mixes_per_suite / 2 + 1);
+    let grid = with_baseline(&schemes, l1pf);
     for bw in BANDWIDTHS {
-        plan_mix_cells(h, &mixes, &schemes, l1pf, Some(bw), Some(bw * 4.0));
-        let per_mix: Vec<_> = mixes
+        let per_mix: Vec<_> = sweep_mixes(h, &mixes, &grid, Some(bw), Some(bw * 4.0))
             .iter()
-            .map(|m| {
-                let base = h.run_mix(&m.workloads, Scheme::Baseline, l1pf, Some(bw));
-                let base_ws = h.weighted_ipc(&m.workloads, &base, Scheme::Baseline, l1pf, bw * 4.0);
-                let base_txn = base.dram_transactions() as f64;
+            .map(|r| {
+                let base_ws = r[0].weighted_ipc();
+                let base_txn = r[0].shared.dram_transactions() as f64;
                 let mut speedups = Vec::new();
                 let mut deltas = Vec::new();
-                for &s in &schemes {
-                    let r = h.run_mix(&m.workloads, s, l1pf, Some(bw));
-                    let ws = h.weighted_ipc(&m.workloads, &r, s, l1pf, bw * 4.0);
-                    speedups.push(pct_delta(ws, base_ws));
-                    deltas.push(pct_delta(r.dram_transactions() as f64, base_txn));
+                for run in &r[1..] {
+                    speedups.push(pct_delta(run.weighted_ipc(), base_ws));
+                    deltas.push(pct_delta(run.shared.dram_transactions() as f64, base_txn));
                 }
                 (speedups, deltas)
             })

@@ -7,7 +7,7 @@ use crate::runner::{geomean_speedup_percent, Harness};
 use crate::scheme::{L1Pf, Scheme};
 
 use super::fig13::SINGLE_GBPS;
-use super::{pct_delta, sweep_single_core};
+use super::{pct_delta, sweep_mixes, sweep_single_core};
 
 /// Runs the experiment for one base L1D prefetcher (`Ipcp` or `Berti`).
 #[must_use]
@@ -48,7 +48,7 @@ pub fn run(h: &Harness, l1pf: L1Pf) -> ExperimentResult {
     ));
 
     // Multi-core. The enhanced designs vary the prefetcher as well as the
-    // scheme, so the cell grid is planned explicitly.
+    // scheme, so the grid pairs each scheme with its prefetcher.
     let mixes = generate_mixes(&h.active_workloads(), h.rc.mixes_per_suite / 2 + 1);
     let grid: [(Scheme, L1Pf); 4] = [
         (Scheme::Baseline, l1pf),
@@ -56,31 +56,12 @@ pub fn run(h: &Harness, l1pf: L1Pf) -> ExperimentResult {
         (Scheme::HermesExtra, l1pf),
         (Scheme::Tlp, l1pf),
     ];
-    let mut cells = Vec::new();
-    for m in &mixes {
-        for &(scheme, pf) in &grid {
-            cells.push(h.cell_mix(&m.workloads, scheme, pf, None));
-            for w in &m.workloads {
-                cells.push(h.cell_single(w, scheme, pf, Some(SINGLE_GBPS)));
-            }
-        }
-    }
-    h.run_cells(cells);
-    let per_mix: Vec<_> = mixes
+    let per_mix: Vec<_> = sweep_mixes(h, &mixes, &grid, None, Some(SINGLE_GBPS))
         .iter()
-        .map(|m| {
-            let base = h.run_mix(&m.workloads, Scheme::Baseline, l1pf, None);
-            let base_ws = h.weighted_ipc(&m.workloads, &base, Scheme::Baseline, l1pf, SINGLE_GBPS);
-            let ws_of = |scheme: Scheme, pf: L1Pf| {
-                let r = h.run_mix(&m.workloads, scheme, pf, None);
-                let ws = h.weighted_ipc(&m.workloads, &r, scheme, pf, SINGLE_GBPS);
-                pct_delta(ws, base_ws)
-            };
-            (
-                ws_of(Scheme::Baseline, extra_pf),
-                ws_of(Scheme::HermesExtra, l1pf),
-                ws_of(Scheme::Tlp, l1pf),
-            )
+        .map(|r| {
+            let base_ws = r[0].weighted_ipc();
+            let ws_of = |run: &super::MixRun| pct_delta(run.weighted_ipc(), base_ws);
+            (ws_of(&r[1]), ws_of(&r[2]), ws_of(&r[3]))
         })
         .collect();
     let col = |f: fn(&(f64, f64, f64)) -> f64| -> Vec<f64> { per_mix.iter().map(f).collect() };

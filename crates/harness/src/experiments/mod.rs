@@ -27,11 +27,12 @@ pub mod tables;
 
 use std::sync::Arc;
 
+use tlp_sim::SimReport;
 use tlp_trace::emit::{Suite, Workload};
 
-use crate::mix::Mix;
+use crate::mix::{weighted_ipc, Mix};
 use crate::report::Row;
-use crate::runner::{geomean_speedup_percent, mean, Harness};
+use crate::runner::{geomean_speedup_percent, mean, Harness, Machine};
 use crate::scheme::{L1Pf, Scheme};
 
 /// Percent change from `base` to `new` (positive = increase).
@@ -43,66 +44,105 @@ pub(crate) fn pct_delta(new: f64, base: f64) -> f64 {
     (new / base - 1.0) * 100.0
 }
 
+/// One workload and its reports, one per swept scheme.
+pub(crate) type WorkloadRuns = (Arc<dyn Workload>, Vec<Arc<SimReport>>);
+
 /// Runs `schemes` (plus `Baseline`) over the active workload set through
 /// the run engine, returning `(workload, per-scheme reports)` where index
 /// 0 is always the baseline.
 ///
-/// The whole (workload × scheme) grid is submitted as one deduplicated
-/// batch — cells another experiment already simulated come from the cache
-/// — and collection is sequential over cache hits, so the result is
-/// independent of thread count.
-pub(crate) fn sweep_single_core(
-    h: &Harness,
-    schemes: &[Scheme],
-    l1pf: L1Pf,
-) -> Vec<(Arc<dyn Workload>, Vec<tlp_sim::SimReport>)> {
+/// The whole (workload × scheme) grid is one deduplicated batch — cells
+/// another experiment already simulated come from the cache — so the
+/// result is independent of thread count.
+pub(crate) fn sweep_single_core(h: &Harness, schemes: &[Scheme], l1pf: L1Pf) -> Vec<WorkloadRuns> {
     let workloads = h.active_workloads();
-    let mut all = vec![Scheme::Baseline];
-    all.extend_from_slice(schemes);
-    h.run_cells(
-        workloads
-            .iter()
-            .flat_map(|w| all.iter().map(|&s| h.cell_single(w, s, l1pf, None)))
-            .collect(),
-    );
+    let all: Vec<_> = std::iter::once(Scheme::Baseline)
+        .chain(schemes.iter().copied())
+        .map(Scheme::resolve)
+        .collect();
+    let pf = l1pf.resolve();
+    let cells: Vec<_> = workloads
+        .iter()
+        .flat_map(|w| {
+            all.iter().map(|s| {
+                h.cell(
+                    std::slice::from_ref(w),
+                    Arc::clone(s),
+                    Arc::clone(&pf),
+                    Machine::CascadeLake(None),
+                )
+            })
+        })
+        .collect();
+    let mut reports = h.run(&cells).into_iter();
     workloads
         .into_iter()
-        .map(|w| {
-            let reports = all.iter().map(|&s| h.run_single(&w, s, l1pf)).collect();
-            (w, reports)
-        })
+        .map(|w| (w, reports.by_ref().take(all.len()).collect()))
         .collect()
 }
 
-/// Submits the full (mix × scheme) grid of a multi-core experiment to the
-/// run engine in one deduplicated batch: every mix cell at bandwidth
-/// `gbps`, plus — when `single_gbps` is given — the per-workload isolation
-/// cells that [`Harness::weighted_ipc`] needs. `Baseline` is always
-/// planned in addition to `schemes` (like [`sweep_single_core`]), since
-/// every collection loop compares against it. After this returns, the
-/// experiment's collection loop runs entirely on cache hits.
-pub(crate) fn plan_mix_cells(
+/// One mix under one (scheme, prefetcher) pair: the shared 4-core run
+/// and, when isolation runs were requested, each core's workload run
+/// alone.
+pub(crate) struct MixRun {
+    /// The 4-core run.
+    pub(crate) shared: Arc<SimReport>,
+    isolated: Vec<Arc<SimReport>>,
+}
+
+impl MixRun {
+    /// Weighted speedup of the shared run over the isolation runs.
+    pub(crate) fn weighted_ipc(&self) -> f64 {
+        weighted_ipc(&self.shared, &self.isolated)
+    }
+}
+
+/// `(Baseline, l1pf)` followed by every `(scheme, l1pf)` — the grid of a
+/// multi-core experiment that compares `schemes` against the baseline.
+pub(crate) fn with_baseline(schemes: &[Scheme], l1pf: L1Pf) -> Vec<(Scheme, L1Pf)> {
+    std::iter::once(Scheme::Baseline)
+        .chain(schemes.iter().copied())
+        .map(|s| (s, l1pf))
+        .collect()
+}
+
+/// Runs the (mix × grid) cells of a multi-core experiment in one
+/// deduplicated batch: every mix at per-core bandwidth `gbps`, plus —
+/// when `single_gbps` is given — each of its workloads alone at that
+/// bandwidth, for [`MixRun::weighted_ipc`]. Returns, per mix, one
+/// [`MixRun`] per grid entry, in grid order.
+pub(crate) fn sweep_mixes(
     h: &Harness,
     mixes: &[Mix],
-    schemes: &[Scheme],
-    l1pf: L1Pf,
+    grid: &[(Scheme, L1Pf)],
     gbps: Option<f64>,
     single_gbps: Option<f64>,
-) {
-    let mut all = vec![Scheme::Baseline];
-    all.extend_from_slice(schemes);
+) -> Vec<Vec<MixRun>> {
     let mut cells = Vec::new();
     for m in mixes {
-        for &s in &all {
-            cells.push(h.cell_mix(&m.workloads, s, l1pf, gbps));
+        for &(scheme, l1pf) in grid {
+            let (s, p) = (scheme.resolve(), l1pf.resolve());
+            let mix = Machine::CascadeLake(gbps);
+            cells.push(h.cell(&m.workloads, Arc::clone(&s), Arc::clone(&p), mix));
             if let Some(bw) = single_gbps {
                 for w in &m.workloads {
-                    cells.push(h.cell_single(w, s, l1pf, Some(bw)));
+                    let alone = Machine::CascadeLake(Some(bw));
+                    let w = std::slice::from_ref(w);
+                    cells.push(h.cell(w, Arc::clone(&s), Arc::clone(&p), alone));
                 }
             }
         }
     }
-    h.run_cells(cells);
+    let per_run = if single_gbps.is_some() { 5 } else { 1 };
+    let reports = h.run(&cells);
+    let mut runs = reports.chunks(per_run).map(|r| MixRun {
+        shared: Arc::clone(&r[0]),
+        isolated: r[1..].to_vec(),
+    });
+    mixes
+        .iter()
+        .map(|_| runs.by_ref().take(grid.len()).collect())
+        .collect()
 }
 
 /// Appends SPEC / GAP / ALL summary rows to per-workload rows.

@@ -3,13 +3,15 @@
 //! Per suite (SPEC, GAP): 50 homogeneous mixes (four instances of one
 //! randomly-selected workload) and 50 heterogeneous mixes (four randomly
 //! selected workloads), seeded for reproducibility. The harness runs the
-//! first `mixes_per_suite` of each list.
+//! first `mixes_per_suite` of each list and scores each run by
+//! [`weighted_ipc`].
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use tlp_sim::SimReport;
 use tlp_trace::emit::{Suite, Workload};
 
 /// One 4-core mix.
@@ -87,6 +89,26 @@ pub fn generate_mixes(workloads: &[Arc<dyn Workload>], per_kind: usize) -> Vec<M
         }
     }
     out
+}
+
+/// Weighted speedup of a mix run (paper §V-D): Σ IPC_shared / IPC_single
+/// over its cores, where `isolated` holds each core's workload run alone
+/// (in core order). A core whose isolation IPC is zero contributes 0.
+#[must_use]
+pub fn weighted_ipc(shared: &SimReport, isolated: &[Arc<SimReport>]) -> f64 {
+    shared
+        .cores
+        .iter()
+        .zip(isolated)
+        .map(|(core, single)| {
+            let single = single.ipc();
+            if single <= 0.0 {
+                0.0
+            } else {
+                core.core.ipc() / single
+            }
+        })
+        .sum()
 }
 
 #[cfg(test)]

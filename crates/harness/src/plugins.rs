@@ -5,9 +5,9 @@
 //! (`tlp_core::register_builtin`, `tlp_prefetch::register_builtin`,
 //! `tlp_baselines::register_builtin`, `tlp_rl::register_builtin`); the
 //! harness contributes the named scheme compositions
-//! ([`crate::scheme::register_builtin_schemes`]). A
-//! [`Session`](crate::session::Session) clones this registry so custom
-//! registrations stay session-local.
+//! ([`crate::scheme::register_builtin_schemes`]). Every
+//! [`Harness`](crate::Harness) clones this registry so custom
+//! registrations stay local to it.
 
 use std::sync::OnceLock;
 

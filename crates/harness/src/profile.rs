@@ -98,10 +98,6 @@ pub fn stats_value(stats: &EngineStats) -> Value {
         ("coalesced".to_owned(), Value::Num(stats.coalesced)),
         ("corrupt".to_owned(), Value::Num(stats.corrupt)),
         ("evicted".to_owned(), Value::Num(stats.evicted)),
-        (
-            "inline_simulated".to_owned(),
-            Value::Num(stats.inline_simulated),
-        ),
         ("simulated".to_owned(), Value::Num(stats.simulated)),
     ])
 }
@@ -152,9 +148,12 @@ mod tests {
     #[test]
     fn artifact_round_trips_and_matches_engine_stats() {
         let h = Harness::new(RunConfig::test());
-        let w = h.active_workloads()[0].clone();
-        let cell = h.cell_single(&w, crate::scheme::Scheme::Baseline, crate::L1Pf::Ipcp, None);
-        h.run_cells(vec![cell]);
+        let w = &h.active_workloads()[..1];
+        let (s, p) = (
+            crate::Scheme::Baseline.resolve(),
+            crate::L1Pf::Ipcp.resolve(),
+        );
+        let _ = h.run(&[h.cell(w, s, p, crate::Machine::CascadeLake(None))]);
         let v = profile_value(&h, "cycle");
         let parsed = tlp_sim::serial::parse_value(&v.render()).expect("artifact parses");
         assert_eq!(parsed.u64_field("schema").unwrap(), PROFILE_SCHEMA);

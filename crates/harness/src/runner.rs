@@ -2,23 +2,27 @@
 //! sharded execution of simulation cells over the content-addressed
 //! result cache in [`crate::cache`].
 //!
-//! Experiments describe the grid cells they need as [`RunCell`]s and
-//! submit them through [`Harness::run_cells`]; the engine deduplicates the
-//! batch, answers what it can from the cache, and simulates the rest on a
-//! self-scheduling worker pool. Collection then happens sequentially
-//! through the cached getters ([`Harness::run_single`],
-//! [`Harness::run_mix`], ...), so results are bit-identical regardless of
-//! thread count or cache state.
+//! A grid cell is described once, by [`Harness::cell`] (or by
+//! [`Harness::cells`] from registry names), and a batch of cells is run
+//! by one call, [`Harness::run`]: the engine deduplicates the batch,
+//! answers what it can from the cache, simulates the rest on a
+//! self-scheduling worker pool, and returns one report per input cell in
+//! input order. Each cell is a deterministic single-threaded simulation,
+//! so results are bit-identical regardless of thread count or cache
+//! state. [`Harness::timelines`] and [`Harness::simpoints`] take the same
+//! cells.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use tlp_plugin::{BuildCtx, ResolvedScheme};
+use tlp_plugin::{
+    BuildCtx, ComponentRef, ComponentRegistry, PluginError, ResolvedScheme, SchemeSpec,
+};
 use tlp_sim::engine::{CoreSetup, System};
-use tlp_sim::{EngineMode, SimReport, SystemConfig, Timeline, TimelineConfig};
+use tlp_sim::{EngineMode, SimReport, SystemConfig, TimelineConfig};
 use tlp_trace::catalog::{self, Scale};
 use tlp_trace::emit::Workload;
 use tlp_trace::simpoint::{simpoints_of, BbvConfig, SimPoint};
@@ -29,10 +33,12 @@ use tlp_tracestore::{
 };
 
 use crate::cache::{self, DiskCache, EngineStats, ResultCache, RunKey};
+use crate::plugins::builtin_registry;
 use crate::scheme::{L1Pf, ResolvedL1Pf, Scheme};
+use crate::timeline::TimelineRun;
 use crate::tracetier::{TraceTier, TraceTierCounters, TraceTierStats, DEFAULT_TRACE_MEM_CAP};
 
-/// Simulation budgets and scale for a harness session.
+/// Simulation budgets and scale for a harness.
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
     /// Workload scale (graph sizes, working sets).
@@ -129,34 +135,33 @@ fn engine_from_env() -> EngineMode {
     }
 }
 
+/// The machine a cell simulates on.
+#[derive(Debug, Clone)]
+pub enum Machine {
+    /// Table III's Cascade Lake with one core per workload, at an
+    /// optional per-core DRAM bandwidth in GB/s (`None` keeps the
+    /// default bus).
+    CascadeLake(Option<f64>),
+    /// An explicit single-core configuration plus a tag naming its
+    /// deviation (e.g. the LLC replacement policy) for display. The key
+    /// also folds in a digest of the whole config, so two cells reusing
+    /// a tag with different hardware can never alias — the address stays
+    /// content-based even across the persistent disk tier.
+    Custom(Box<SystemConfig>, String),
+}
+
 /// One simulation cell of the evaluation grid: a content-addressed key, a
-/// human-readable label (for scheduling diagnostics and panic messages),
-/// and everything needed to simulate the cell on a cache miss.
+/// label (the key's description, for scheduling diagnostics, panic
+/// messages and the profile's cell log), and everything needed to
+/// simulate the cell on a cache miss. Built by [`Harness::cell`].
+#[derive(Clone)]
 pub struct RunCell {
     key: RunKey,
     label: String,
-    kind: CellKind,
-}
-
-enum CellKind {
-    Single {
-        workload: Arc<dyn Workload>,
-        scheme: Arc<ResolvedScheme>,
-        l1pf: Arc<ResolvedL1Pf>,
-        gbps: Option<f64>,
-    },
-    Mix {
-        workloads: [Arc<dyn Workload>; 4],
-        scheme: Arc<ResolvedScheme>,
-        l1pf: Arc<ResolvedL1Pf>,
-        gbps: Option<f64>,
-    },
-    Custom {
-        workload: Arc<dyn Workload>,
-        scheme: Arc<ResolvedScheme>,
-        l1pf: Arc<ResolvedL1Pf>,
-        cfg: Box<SystemConfig>,
-    },
+    workloads: Vec<Arc<dyn Workload>>,
+    scheme: Arc<ResolvedScheme>,
+    l1pf: Arc<ResolvedL1Pf>,
+    config: SystemConfig,
 }
 
 impl RunCell {
@@ -171,6 +176,12 @@ impl RunCell {
     pub fn label(&self) -> &str {
         &self.label
     }
+
+    /// The workloads, one per core.
+    #[must_use]
+    pub fn workloads(&self) -> &[Arc<dyn Workload>] {
+        &self.workloads
+    }
 }
 
 impl std::fmt::Debug for RunCell {
@@ -182,7 +193,7 @@ impl std::fmt::Debug for RunCell {
     }
 }
 
-/// Result of a SimPoint-sampled run ([`Harness::run_simpoints`]): the
+/// Result of a SimPoint-sampled run ([`Harness::simpoints`]): the
 /// replayed regions (weights renormalized over the chosen `k`), their
 /// individual reports, and the reconstituted full-run estimate.
 #[derive(Debug, Clone)]
@@ -199,10 +210,50 @@ pub struct SimPointRun {
     pub estimate: SimReport,
 }
 
-/// The harness: cached traces, the two-tier result cache, and run helpers.
+/// Errors from resolving registry names into cells.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SessionError {
+    /// Registry/spec errors (unknown components, bad parameters, ...).
+    Plugin(PluginError),
+    /// A workload name not present in the active catalog.
+    UnknownWorkload {
+        /// The unknown name.
+        name: String,
+        /// Closest catalog names, best first.
+        did_you_mean: Vec<String>,
+    },
+}
+
+impl std::fmt::Display for SessionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SessionError::Plugin(e) => e.fmt(f),
+            SessionError::UnknownWorkload { name, did_you_mean } => {
+                write!(f, "unknown workload: {name}")?;
+                if !did_you_mean.is_empty() {
+                    write!(f, " (did you mean: {}?)", did_you_mean.join(", "))?;
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+impl std::error::Error for SessionError {}
+
+impl From<PluginError> for SessionError {
+    fn from(e: PluginError) -> Self {
+        SessionError::Plugin(e)
+    }
+}
+
+/// The harness: a private clone of the built-in registry (so custom
+/// registrations never leak across harnesses), cached traces, the
+/// two-tier result cache, and the run engine.
 pub struct Harness {
     /// The active run configuration.
     pub rc: RunConfig,
+    registry: ComponentRegistry,
     workloads: Vec<Arc<dyn Workload>>,
     traces: Mutex<TraceTier>,
     trace_store: Option<Arc<TraceStore>>,
@@ -226,6 +277,7 @@ impl Harness {
     pub fn new(rc: RunConfig) -> Self {
         Self {
             rc,
+            registry: builtin_registry().clone(),
             workloads: catalog::single_core_set(rc.scale),
             traces: Mutex::new(TraceTier::default()),
             trace_store: None,
@@ -283,23 +335,6 @@ impl Harness {
         self.tstats.snapshot(corrupt, resident)
     }
 
-    /// Resolves a `trace:NAME` workload against the store's imports.
-    /// Returns `None` when the name lacks the prefix, no store is
-    /// configured, the import doesn't exist, or its file fails
-    /// validation.
-    #[must_use]
-    pub fn trace_workload(&self, name: &str) -> Option<Arc<dyn Workload>> {
-        let short = name.strip_prefix(TRACE_NAMESPACE)?;
-        let store = self.trace_store.as_ref()?;
-        let path = store.import_path(short);
-        if !path.exists() {
-            return None;
-        }
-        TraceWorkload::open(short, path)
-            .ok()
-            .map(|w| Arc::new(w) as Arc<dyn Workload>)
-    }
-
     /// Snapshot of the run-engine counters (requests, hits per tier,
     /// simulations, batch dedup).
     #[must_use]
@@ -339,8 +374,7 @@ impl Harness {
     }
 
     /// Workload names grouped by suite: `(spec, gap)`.
-    #[must_use]
-    pub fn suite_names(&self) -> (Vec<String>, Vec<String>) {
+    fn suite_names(&self) -> (Vec<String>, Vec<String>) {
         let mut spec = Vec::new();
         let mut gap = Vec::new();
         for w in &self.workloads {
@@ -354,8 +388,7 @@ impl Harness {
 
     /// A subset of workloads for quick sweeps: every `stride`-th workload
     /// of each suite.
-    #[must_use]
-    pub fn workload_subset(&self, per_suite: usize) -> Vec<Arc<dyn Workload>> {
+    fn workload_subset(&self, per_suite: usize) -> Vec<Arc<dyn Workload>> {
         let (spec, gap) = self.suite_names();
         let pick = |names: &[String]| -> Vec<String> {
             let step = (names.len() / per_suite.max(1)).max(1);
@@ -390,7 +423,7 @@ impl Harness {
     /// # Panics
     ///
     /// Panics when a `trace:` workload's backing file disappears or fails
-    /// validation after [`Harness::trace_workload`] vetted it.
+    /// validation after [`Harness::workload`] vetted it.
     #[must_use]
     pub fn trace_for(&self, w: &Arc<dyn Workload>) -> Box<dyn TraceSource> {
         if let Some(path) = w.trace_path() {
@@ -497,122 +530,198 @@ impl Harness {
         )
     }
 
-    /// Describes a single-core cell.
+    /// The harness's registry (for lookups and listings).
     #[must_use]
-    pub fn cell_single(
-        &self,
-        w: &Arc<dyn Workload>,
-        scheme: Scheme,
-        l1pf: L1Pf,
-        gbps: Option<f64>,
-    ) -> RunCell {
-        self.cell_single_spec(w, scheme.resolve(), l1pf.resolve(), gbps)
+    pub fn registry(&self) -> &ComponentRegistry {
+        &self.registry
     }
 
-    /// Describes a single-core cell for a resolved (possibly custom)
-    /// scheme — the registry-backed twin of [`Harness::cell_single`].
-    /// The scheme's [`cache_key`](ResolvedScheme::cache_key) and the
-    /// prefetcher's canonical fragment feed the content address.
+    /// The harness's registry, mutably — register custom components and
+    /// schemes here before composing specs that name them.
+    pub fn registry_mut(&mut self) -> &mut ComponentRegistry {
+        &mut self.registry
+    }
+
+    /// Resolves a spec against this harness's registry and dry-runs its
+    /// factories, so malformed parameters surface here as `Err` instead
+    /// of panicking a worker thread at simulation time.
+    ///
+    /// # Errors
+    ///
+    /// Returns unknown-component errors (with did-you-mean suggestions)
+    /// and factory parameter errors.
+    pub fn resolve_spec(&self, spec: &SchemeSpec) -> Result<Arc<ResolvedScheme>, SessionError> {
+        let resolved = self.registry.resolve(spec)?;
+        resolved.validate()?;
+        Ok(Arc::new(resolved))
+    }
+
+    /// Looks a named scheme up and resolves it.
+    ///
+    /// # Errors
+    ///
+    /// Returns unknown-scheme/component errors with suggestions.
+    pub fn resolve_scheme_name(&self, name: &str) -> Result<Arc<ResolvedScheme>, SessionError> {
+        let spec = self.registry.scheme(name)?.clone();
+        self.resolve_spec(&spec)
+    }
+
+    /// Resolves an L1D prefetcher by name (dry-building it, so factory
+    /// errors surface here).
+    ///
+    /// # Errors
+    ///
+    /// Returns unknown-component errors with suggestions and factory
+    /// parameter errors.
+    pub fn resolve_l1pf_name(&self, name: &str) -> Result<Arc<ResolvedL1Pf>, SessionError> {
+        let resolved = self
+            .registry
+            .resolve_l1_prefetcher(&ComponentRef::new(name))?;
+        resolved.build(&mut BuildCtx::new()).map(drop)?;
+        Ok(Arc::new(resolved))
+    }
+
+    /// Finds a workload by name: a catalog workload, or a `trace:NAME`
+    /// import from the trace store (whose file must exist and validate).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SessionError::UnknownWorkload`], with catalog
+    /// suggestions for catalog names.
+    pub fn workload(&self, name: &str) -> Result<Arc<dyn Workload>, SessionError> {
+        let unknown = |did_you_mean| SessionError::UnknownWorkload {
+            name: name.to_owned(),
+            did_you_mean,
+        };
+        if let Some(short) = name.strip_prefix(TRACE_NAMESPACE) {
+            let store = self.trace_store.as_ref();
+            return store
+                .and_then(|s| TraceWorkload::open(short, s.import_path(short)).ok())
+                .map(|w| Arc::new(w) as Arc<dyn Workload>)
+                .ok_or_else(|| unknown(Vec::new()));
+        }
+        self.workloads
+            .iter()
+            .find(|w| w.name() == name)
+            .cloned()
+            .ok_or_else(|| {
+                unknown(tlp_plugin::suggest(
+                    name,
+                    self.workloads.iter().map(|w| w.name()),
+                ))
+            })
+    }
+
+    /// Describes one cell: `workloads` (one for a single-core cell, four
+    /// for a mix) under `scheme` and `l1pf` on `machine`. The key is the
+    /// hash of the cell's description ([`cache::single_desc`],
+    /// [`cache::mix_desc`] or [`cache::custom_desc`]), which covers the
+    /// run budget, the scheme's [`cache_key`](ResolvedScheme::cache_key)
+    /// and the prefetcher's canonical fragment.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the cell has one workload, or four on
+    /// [`Machine::CascadeLake`].
     #[must_use]
-    pub fn cell_single_spec(
+    pub fn cell(
         &self,
-        w: &Arc<dyn Workload>,
+        workloads: &[Arc<dyn Workload>],
         scheme: Arc<ResolvedScheme>,
         l1pf: Arc<ResolvedL1Pf>,
-        gbps: Option<f64>,
+        machine: Machine,
     ) -> RunCell {
-        let desc = cache::single_desc(
-            &self.env_desc(),
-            w.name(),
-            &scheme.cache_key,
-            &l1pf.key,
-            &cache::bandwidth_desc(gbps),
-        );
+        let env = self.env_desc();
+        let cascade_lake = |cores, gbps| match gbps {
+            Some(b) => SystemConfig::cascade_lake_with_bandwidth(cores, b),
+            None => SystemConfig::cascade_lake(cores),
+        };
+        let (label, config) = match (workloads, machine) {
+            ([w], Machine::CascadeLake(gbps)) => (
+                cache::single_desc(
+                    &env,
+                    w.name(),
+                    &scheme.cache_key,
+                    &l1pf.key,
+                    &cache::bandwidth_desc(gbps),
+                ),
+                cascade_lake(1, gbps),
+            ),
+            ([a, b, c, d], Machine::CascadeLake(gbps)) => (
+                cache::mix_desc(
+                    &env,
+                    [a.name(), b.name(), c.name(), d.name()],
+                    &scheme.cache_key,
+                    &l1pf.key,
+                    &cache::bandwidth_desc(gbps),
+                ),
+                cascade_lake(4, gbps),
+            ),
+            ([w], Machine::Custom(config, tag)) => {
+                let digest = RunKey::from_desc(&format!("{config:?}")).hex();
+                let desc = cache::custom_desc(
+                    &env,
+                    w.name(),
+                    &scheme.cache_key,
+                    &l1pf.key,
+                    &format!("{tag}#{digest}"),
+                );
+                (desc, *config)
+            }
+            (ws, _) => panic!(
+                "a cell runs one workload, or four on the Cascade Lake machine (got {})",
+                ws.len()
+            ),
+        };
         RunCell {
-            key: RunKey::from_desc(&desc),
-            label: desc,
-            kind: CellKind::Single {
-                workload: Arc::clone(w),
-                scheme,
-                l1pf,
-                gbps,
-            },
+            key: RunKey::from_desc(&label),
+            label,
+            workloads: workloads.to_vec(),
+            scheme,
+            l1pf,
+            config,
         }
     }
 
-    /// Describes a 4-core mix cell.
-    #[must_use]
-    pub fn cell_mix(
+    /// Single-core cells on the default machine from registry names —
+    /// the one name-resolution rule the CLI and the serve daemon share:
+    /// the spec and the prefetcher are resolved and validated, an empty
+    /// `workloads` list means the active set, `trace:` imports are
+    /// accepted, and repeated names are dropped (first occurrence kept).
+    /// Nothing simulates here.
+    ///
+    /// # Errors
+    ///
+    /// Propagates resolution and workload-lookup errors.
+    pub fn cells(
         &self,
-        ws: &[Arc<dyn Workload>; 4],
-        scheme: Scheme,
-        l1pf: L1Pf,
-        gbps: Option<f64>,
-    ) -> RunCell {
-        self.cell_mix_spec(ws, scheme.resolve(), l1pf.resolve(), gbps)
-    }
-
-    /// Describes a 4-core mix cell for a resolved scheme.
-    #[must_use]
-    pub fn cell_mix_spec(
-        &self,
-        ws: &[Arc<dyn Workload>; 4],
-        scheme: Arc<ResolvedScheme>,
-        l1pf: Arc<ResolvedL1Pf>,
-        gbps: Option<f64>,
-    ) -> RunCell {
-        let desc = cache::mix_desc(
-            &self.env_desc(),
-            [ws[0].name(), ws[1].name(), ws[2].name(), ws[3].name()],
-            &scheme.cache_key,
-            &l1pf.key,
-            &cache::bandwidth_desc(gbps),
-        );
-        RunCell {
-            key: RunKey::from_desc(&desc),
-            label: desc,
-            kind: CellKind::Mix {
-                workloads: ws.clone(),
-                scheme,
-                l1pf,
-                gbps,
-            },
-        }
-    }
-
-    /// Describes a single-core cell under an explicit [`SystemConfig`].
-    /// `tag` names the config deviation (e.g. the LLC replacement policy)
-    /// for display; the key additionally folds in a digest of the full
-    /// config, so two calls reusing a tag with different hardware can
-    /// never alias — the address stays content-based even across the
-    /// persistent disk tier.
-    #[must_use]
-    pub fn cell_custom(
-        &self,
-        w: &Arc<dyn Workload>,
-        scheme: Scheme,
-        l1pf: L1Pf,
-        cfg: SystemConfig,
-        tag: &str,
-    ) -> RunCell {
-        let cfg_digest = RunKey::from_desc(&format!("{cfg:?}")).hex();
-        let desc = cache::custom_desc(
-            &self.env_desc(),
-            w.name(),
-            &scheme.key(),
-            l1pf.name(),
-            &format!("{tag}#{cfg_digest}"),
-        );
-        RunCell {
-            key: RunKey::from_desc(&desc),
-            label: desc,
-            kind: CellKind::Custom {
-                workload: Arc::clone(w),
-                scheme: scheme.resolve(),
-                l1pf: l1pf.resolve(),
-                cfg: Box::new(cfg),
-            },
-        }
+        spec: &SchemeSpec,
+        l1pf: &str,
+        workloads: &[String],
+    ) -> Result<Vec<RunCell>, SessionError> {
+        let scheme = self.resolve_spec(spec)?;
+        let l1pf = self.resolve_l1pf_name(l1pf)?;
+        let ws = if workloads.is_empty() {
+            self.active_workloads()
+        } else {
+            let mut seen = HashSet::new();
+            workloads
+                .iter()
+                .filter(|n| seen.insert(n.as_str()))
+                .map(|n| self.workload(n))
+                .collect::<Result<_, _>>()?
+        };
+        Ok(ws
+            .iter()
+            .map(|w| {
+                self.cell(
+                    std::slice::from_ref(w),
+                    Arc::clone(&scheme),
+                    Arc::clone(&l1pf),
+                    Machine::CascadeLake(None),
+                )
+            })
+            .collect())
     }
 
     /// Assembles one core's system through the resolved scheme's
@@ -632,63 +741,29 @@ impl Harness {
             .unwrap_or_else(|e| panic!("cannot assemble scheme '{}': {e}", scheme.name))
     }
 
+    /// The cell's system, one core per workload, ready to run.
+    fn system(&self, cell: &RunCell) -> System {
+        let setups = cell
+            .workloads
+            .iter()
+            .map(|w| self.assemble(&cell.scheme, &cell.l1pf, self.trace_for(w)))
+            .collect();
+        System::new(cell.config.clone(), setups).with_engine_mode(self.rc.engine)
+    }
+
     /// Simulates one cell from scratch (no cache involvement). Each cell
     /// is a deterministic, single-threaded simulation, which is what makes
     /// content addressing and thread-count invariance sound.
-    fn simulate(&self, kind: &CellKind) -> SimReport {
-        match kind {
-            CellKind::Single {
-                workload,
-                scheme,
-                l1pf,
-                gbps,
-            } => {
-                let cfg = match gbps {
-                    Some(b) => SystemConfig::cascade_lake_with_bandwidth(1, *b),
-                    None => SystemConfig::cascade_lake(1),
-                };
-                let setup = self.assemble(scheme, l1pf, self.trace_for(workload));
-                System::new(cfg, vec![setup])
-                    .with_engine_mode(self.rc.engine)
-                    .run(self.rc.warmup, self.rc.instructions)
-            }
-            CellKind::Mix {
-                workloads,
-                scheme,
-                l1pf,
-                gbps,
-            } => {
-                let cfg = match gbps {
-                    Some(b) => SystemConfig::cascade_lake_with_bandwidth(4, *b),
-                    None => SystemConfig::cascade_lake(4),
-                };
-                let setups = workloads
-                    .iter()
-                    .map(|w| self.assemble(scheme, l1pf, self.trace_for(w)))
-                    .collect();
-                System::new(cfg, setups)
-                    .with_engine_mode(self.rc.engine)
-                    .run(self.rc.warmup, self.rc.instructions)
-            }
-            CellKind::Custom {
-                workload,
-                scheme,
-                l1pf,
-                cfg,
-            } => {
-                let setup = self.assemble(scheme, l1pf, self.trace_for(workload));
-                System::new((**cfg).clone(), vec![setup])
-                    .with_engine_mode(self.rc.engine)
-                    .run(self.rc.warmup, self.rc.instructions)
-            }
-        }
+    fn simulate(&self, cell: &RunCell) -> SimReport {
+        self.system(cell).run(self.rc.warmup, self.rc.instructions)
     }
 
-    /// Captures the simulated-time telemetry of one single-core cell:
-    /// the cell re-simulates with a [`tlp_timeline::Recorder`] attached
-    /// and the resulting [`Timeline`] is content-addressed under its own
-    /// key (the cell's descriptor plus the timeline parameters), cached
-    /// in a blob tier separate from `SimReport`s.
+    /// Captures the simulated-time telemetry of each cell, one
+    /// [`TimelineRun`] per input cell in input order: a cell re-simulates
+    /// with a [`tlp_timeline::Recorder`] attached, on the worker pool, and
+    /// the resulting timeline is content-addressed under its own key (the
+    /// cell's label plus the timeline parameters), cached in a blob tier
+    /// separate from `SimReport`s.
     ///
     /// The capture is deterministic — bit-identical across engine modes,
     /// thread counts, and warm/cold caches — so a racing duplicate can
@@ -696,53 +771,45 @@ impl Harness {
     /// not single-flighted. The instrumented run's `SimReport` is
     /// discarded (the plain cell already covers it), so timeline capture
     /// can never perturb a cached report.
-    pub fn timeline_single(
-        &self,
-        w: &Arc<dyn Workload>,
-        scheme: Scheme,
-        l1pf: L1Pf,
-        tcfg: TimelineConfig,
-    ) -> Arc<Timeline> {
-        self.timeline_single_spec(w, scheme.resolve(), l1pf.resolve(), tcfg)
-    }
-
-    /// [`Harness::timeline_single`] for a resolved (possibly custom)
-    /// scheme — the registry-backed twin, used by the session layer and
-    /// the serve daemon.
-    pub fn timeline_single_spec(
-        &self,
-        w: &Arc<dyn Workload>,
-        scheme: Arc<ResolvedScheme>,
-        l1pf: Arc<ResolvedL1Pf>,
-        tcfg: TimelineConfig,
-    ) -> Arc<Timeline> {
-        let cell = self.cell_single_spec(w, scheme, l1pf, None);
-        let desc = format!(
-            "{}|timeline|w{}|k{}",
-            cell.label, tcfg.window_cycles, tcfg.journey_every
-        );
-        let key = RunKey::from_desc(&desc);
-        if let Some(t) = self.cache.lookup_timeline(key) {
-            return t;
-        }
-        let timeline = match &cell.kind {
-            CellKind::Single {
-                workload,
-                scheme,
-                l1pf,
-                ..
-            } => {
-                let setup = self.assemble(scheme, l1pf, self.trace_for(workload));
-                let mut sys = System::new(SystemConfig::cascade_lake(1), vec![setup])
-                    .with_engine_mode(self.rc.engine);
+    #[must_use]
+    pub fn timelines(&self, cells: &[RunCell], tcfg: TimelineConfig) -> Vec<TimelineRun> {
+        let (unique, slot) = dedup(cells);
+        let timelines = self.parallel_map_labeled(
+            unique,
+            |&i, _| cells[i].label.clone(),
+            |&i| {
+                let cell = &cells[i];
+                let key = RunKey::from_desc(&format!(
+                    "{}|timeline|w{}|k{}",
+                    cell.label, tcfg.window_cycles, tcfg.journey_every
+                ));
+                if let Some(t) = self.cache.lookup_timeline(key) {
+                    return t;
+                }
+                let mut sys = self.system(cell);
                 sys.enable_timeline(tcfg);
                 let _ = sys.run(self.rc.warmup, self.rc.instructions);
-                sys.take_timeline()
-                    .expect("timeline was enabled before the run")
-            }
-            _ => unreachable!("cell_single always builds CellKind::Single"),
-        };
-        self.cache.insert_timeline(key, timeline)
+                let timeline = sys
+                    .take_timeline()
+                    .expect("timeline enabled before the run");
+                self.cache.insert_timeline(key, timeline)
+            },
+        );
+        cells
+            .iter()
+            .zip(slot)
+            .map(|(cell, u)| TimelineRun {
+                workload: cell
+                    .workloads
+                    .iter()
+                    .map(|w| w.name())
+                    .collect::<Vec<_>>()
+                    .join("+"),
+                scheme: cell.scheme.name.clone(),
+                l1pf: cell.l1pf.key.clone(),
+                timeline: Arc::clone(&timelines[u]),
+            })
+            .collect()
     }
 
     /// Records plus SimPoints for a workload, resolving through the same
@@ -759,19 +826,21 @@ impl Harness {
         let compute = |recs: &[TraceRecord]| {
             simpoints_of(recs, cfg, CAPTURE_SIMPOINT_K, CAPTURE_SIMPOINT_SEED)
         };
+        // A trace file carries SimPoints in its footer when captured here.
+        let read = |t: &mut StreamTrace| {
+            self.tstats.disk_hits.fetch_add(1, Ordering::Relaxed);
+            let (sps, recs) = (t.simpoints().to_vec(), t.read_records());
+            let sps = if sps.is_empty() { compute(&recs) } else { sps };
+            (Arc::new(recs), sps)
+        };
         if let Some(path) = w.trace_path() {
-            let mut t = StreamTrace::open(path).unwrap_or_else(|e| {
+            return read(&mut StreamTrace::open(path).unwrap_or_else(|e| {
                 panic!(
                     "trace workload '{}': cannot open {}: {e}",
                     w.name(),
                     path.display()
                 )
-            });
-            self.tstats.disk_hits.fetch_add(1, Ordering::Relaxed);
-            let sps = t.simpoints().to_vec();
-            let recs = t.read_records();
-            let sps = if sps.is_empty() { compute(&recs) } else { sps };
-            return (Arc::new(recs), sps);
+            }));
         }
         {
             let mut tier = self.traces.lock();
@@ -784,11 +853,7 @@ impl Harness {
         }
         if let Some(store) = &self.trace_store {
             if let TraceLoad::Hit(mut t) = store.open_trace(self.capture_key(w.name())) {
-                self.tstats.disk_hits.fetch_add(1, Ordering::Relaxed);
-                let sps = t.simpoints().to_vec();
-                let recs = t.read_records();
-                let sps = if sps.is_empty() { compute(&recs) } else { sps };
-                return (Arc::new(recs), sps);
+                return read(&mut t);
             }
         }
         let recs = self.capture_records(w);
@@ -796,40 +861,28 @@ impl Harness {
         (recs, sps)
     }
 
-    /// Runs a SimPoint-sampled estimate of one single-core cell (paper
-    /// methodology: simulate the representative regions, blend by cluster
-    /// weight) — see [`Harness::run_simpoints_spec`].
-    #[must_use]
-    pub fn run_simpoints(
-        &self,
-        w: &Arc<dyn Workload>,
-        scheme: Scheme,
-        l1pf: L1Pf,
-        k: usize,
-    ) -> SimPointRun {
-        self.run_simpoints_spec(w, scheme.resolve(), l1pf.resolve(), k)
-    }
-
-    /// SimPoint-sampled single-core run: replays the top-`k` SimPoint
-    /// regions of the workload's trace (each one BBV interval long) and
-    /// reconstitutes a full-run estimate by weighted merge, with region
-    /// weights renormalized over the chosen `k` and scaled to full-run
-    /// units. Region runs are uncached (they are a fraction of a full
-    /// cell's cost) and run on the configured worker pool.
+    /// SimPoint-sampled estimate of one single-core cell (paper
+    /// methodology): replays the top-`k` SimPoint regions of the
+    /// workload's trace (each one BBV interval long) on the cell's
+    /// machine and reconstitutes a full-run estimate by weighted merge,
+    /// with region weights renormalized over the chosen `k` and scaled to
+    /// full-run units. Region runs are uncached (they are a fraction of a
+    /// full cell's cost) and run on the configured worker pool.
     ///
     /// # Panics
     ///
-    /// Panics when `k == 0` or the trace is shorter than one SimPoint
-    /// interval.
+    /// Panics when `k == 0`, when the cell has more than one workload, or
+    /// when the trace is shorter than one SimPoint interval.
     #[must_use]
-    pub fn run_simpoints_spec(
-        &self,
-        w: &Arc<dyn Workload>,
-        scheme: Arc<ResolvedScheme>,
-        l1pf: Arc<ResolvedL1Pf>,
-        k: usize,
-    ) -> SimPointRun {
+    pub fn simpoints(&self, cell: &RunCell, k: usize) -> SimPointRun {
         assert!(k > 0, "need at least one SimPoint region");
+        let [w] = cell.workloads.as_slice() else {
+            panic!(
+                "SimPoint sampling replays a single-core cell; {} has {} workloads",
+                cell.label,
+                cell.workloads.len()
+            );
+        };
         let cfg = BbvConfig::standard();
         let (recs, mut sps) = self.records_and_simpoints(w);
         assert!(
@@ -855,8 +908,8 @@ impl Harness {
                 let end = (start + cfg.interval).min(recs.len());
                 let region = recs[start..end].to_vec();
                 let trace = VecTrace::looping(format!("{}@sp{}", w.name(), p.interval), region);
-                let setup = self.assemble(&scheme, &l1pf, Box::new(trace));
-                System::new(SystemConfig::cascade_lake(1), vec![setup])
+                let setup = self.assemble(&cell.scheme, &cell.l1pf, Box::new(trace));
+                System::new(cell.config.clone(), vec![setup])
                     .with_engine_mode(self.rc.engine)
                     .run(warm, measure)
             },
@@ -874,24 +927,52 @@ impl Harness {
         }
     }
 
-    /// Runs one cell through the cache: hit in a tier, or simulate and
-    /// fill both tiers.
-    pub fn run_cell(&self, cell: &RunCell) -> SimReport {
-        (*self.run_cell_arc(cell)).clone()
+    /// Runs a batch of cells and returns one report per input cell, in
+    /// input order. Duplicates are coalesced (counted as `deduped`),
+    /// cached cells answer instantly, and the remainder is simulated on a
+    /// self-scheduling pool of `rc.threads` workers, each claiming the
+    /// next unclaimed cell. Resolution goes through the cache's
+    /// single-flight layer, so a cell another concurrent batch (or
+    /// service client) is already simulating is *waited for*, not
+    /// re-simulated: every unique cell is simulated exactly once per
+    /// cache lifetime, even across overlapping batches.
+    pub fn run(&self, cells: &[RunCell]) -> Vec<Arc<SimReport>> {
+        self.run_streaming(cells, |_, _, _| {})
     }
 
-    /// [`Harness::run_cell`] without the defensive clone — the shared
-    /// in-cache report, for hot collection paths that only read a field.
-    /// A miss here means the cell was never planned into a
-    /// [`Harness::run_cells`] batch: it still simulates correctly, but
-    /// single-threaded on the caller, so it is flagged in the engine
-    /// stats (`inline=` in the summary line).
-    fn run_cell_arc(&self, cell: &RunCell) -> Arc<SimReport> {
-        self.cache
-            .get_or_run_labeled(cell.key, Some(&cell.label), 0, || {
-                self.cache.note_inline_simulated();
-                self.simulate(&cell.kind)
-            })
+    /// [`Harness::run`] with a completion callback: `on_ready(i, cell,
+    /// report)` fires once per unique cell, from the worker that resolved
+    /// it (`i` is the cell's first position in `cells`), the moment its
+    /// report is available — cache hits immediately, misses as each
+    /// simulation (or coalesced wait on another requester's flight)
+    /// finishes. This is what lets `tlp-serve` stream per-cell result
+    /// frames back to clients. The callback runs concurrently on pool
+    /// workers, so it must be `Sync` and should stay cheap.
+    pub fn run_streaming<F>(&self, cells: &[RunCell], on_ready: F) -> Vec<Arc<SimReport>>
+    where
+        F: Fn(usize, &RunCell, &Arc<SimReport>) + Sync,
+    {
+        let (unique, slot) = dedup(cells);
+        self.cache.note_deduped((cells.len() - unique.len()) as u64);
+        // Queue wait is measured from batch submission to worker pickup —
+        // the per-cell phase the profile artifact breaks out.
+        let submitted = std::time::Instant::now();
+        let reports = self.parallel_map_labeled(
+            unique,
+            |&i, _| cells[i].label.clone(),
+            |&i| {
+                let cell = &cells[i];
+                let wait = u64::try_from(submitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                let report =
+                    self.cache
+                        .get_or_run_labeled(cell.key, Some(&cell.label), wait, || {
+                            self.simulate(cell)
+                        });
+                on_ready(i, cell, &report);
+                report
+            },
+        );
+        slot.into_iter().map(|u| Arc::clone(&reports[u])).collect()
     }
 
     /// A content-addressed key for one step of a *stateful* simulation
@@ -899,7 +980,7 @@ impl Harness {
     /// through [`Harness::run_sequence`]. `step` must uniquely identify
     /// the position and nature of the step within the sequence.
     #[must_use]
-    pub fn sequence_key(
+    pub(crate) fn sequence_key(
         &self,
         w: &Arc<dyn Workload>,
         scheme: Scheme,
@@ -926,7 +1007,7 @@ impl Harness {
     ///
     /// Panics when `simulate_all` returns a different number of reports
     /// than `keys`.
-    pub fn run_sequence<F>(&self, keys: &[RunKey], simulate_all: F) -> Vec<SimReport>
+    pub(crate) fn run_sequence<F>(&self, keys: &[RunKey], simulate_all: F) -> Vec<SimReport>
     where
         F: FnOnce() -> Vec<SimReport>,
     {
@@ -950,143 +1031,11 @@ impl Harness {
         reports
     }
 
-    /// Submits a batch of cells to the engine: duplicates are coalesced,
-    /// cached cells answer instantly, and the remainder is simulated on a
-    /// self-scheduling pool of `rc.threads` workers, each claiming the
-    /// next unclaimed cell of the deduplicated grid. Resolution goes
-    /// through the cache's single-flight layer, so a cell this batch
-    /// misses on but another concurrent batch (or service client) is
-    /// already simulating is *waited for*, not re-simulated: every unique
-    /// cell is simulated exactly once per cache lifetime, even across
-    /// overlapping batches.
-    pub fn run_cells(&self, cells: Vec<RunCell>) {
-        self.run_cells_streaming(cells, |_, _, _| {});
-    }
-
-    /// [`Harness::run_cells`] with a completion callback: `on_ready(i,
-    /// cell, report)` fires from the worker that resolved cell `i` (its
-    /// index in the deduplicated batch, batch order preserved) the moment
-    /// its report is available — cache hits immediately, misses as each
-    /// simulation (or coalesced wait on another requester's flight)
-    /// finishes. This is what lets `tlp-serve` stream per-cell result
-    /// frames back to clients instead of collecting sequentially at
-    /// end-of-grid. The callback runs concurrently on pool workers, so it
-    /// must be `Sync` and should stay cheap.
-    pub fn run_cells_streaming<F>(&self, cells: Vec<RunCell>, on_ready: F)
-    where
-        F: Fn(usize, &RunCell, &Arc<SimReport>) + Sync,
-    {
-        let mut seen = HashSet::new();
-        let mut todo = Vec::new();
-        for cell in cells {
-            if !seen.insert(cell.key) {
-                self.cache.note_deduped(1);
-                continue;
-            }
-            todo.push(cell);
-        }
-        let todo: Vec<(usize, RunCell)> = todo.into_iter().enumerate().collect();
-        // Queue wait is measured from batch submission to worker pickup —
-        // the per-cell phase the profile artifact breaks out.
-        let submitted = std::time::Instant::now();
-        self.parallel_map_labeled(
-            todo,
-            |(_, cell), _| cell.label.clone(),
-            |(i, cell)| {
-                let wait = u64::try_from(submitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                let report =
-                    self.cache
-                        .get_or_run_labeled(cell.key, Some(&cell.label), wait, || {
-                            self.simulate(&cell.kind)
-                        });
-                on_ready(*i, cell, &report);
-            },
-        );
-    }
-
-    /// Runs one single-core simulation (cached per workload/scheme/l1pf).
-    #[must_use]
-    pub fn run_single(&self, w: &Arc<dyn Workload>, scheme: Scheme, l1pf: L1Pf) -> SimReport {
-        self.run_single_with_bandwidth(w, scheme, l1pf, None)
-    }
-
-    /// Runs one single-core simulation with an explicit per-core bandwidth
-    /// (cached).
-    #[must_use]
-    pub fn run_single_with_bandwidth(
-        &self,
-        w: &Arc<dyn Workload>,
-        scheme: Scheme,
-        l1pf: L1Pf,
-        gbps: Option<f64>,
-    ) -> SimReport {
-        self.run_cell(&self.cell_single(w, scheme, l1pf, gbps))
-    }
-
-    /// Runs one single-core simulation under an explicit [`SystemConfig`]
-    /// (cached; `tag` must uniquely identify the config deviation, e.g.
-    /// the LLC replacement policy).
-    #[must_use]
-    pub fn run_single_custom(
-        &self,
-        w: &Arc<dyn Workload>,
-        scheme: Scheme,
-        l1pf: L1Pf,
-        cfg: SystemConfig,
-        tag: &str,
-    ) -> SimReport {
-        self.run_cell(&self.cell_custom(w, scheme, l1pf, cfg, tag))
-    }
-
-    /// Runs one 4-core mix (cached per mix/scheme/l1pf/bandwidth).
-    #[must_use]
-    pub fn run_mix(
-        &self,
-        ws: &[Arc<dyn Workload>; 4],
-        scheme: Scheme,
-        l1pf: L1Pf,
-        gbps: Option<f64>,
-    ) -> SimReport {
-        self.run_cell(&self.cell_mix(ws, scheme, l1pf, gbps))
-    }
-
-    /// Cached single-core IPC of `w` under `scheme` (isolation run on the
-    /// multi-core per-core bandwidth), as weighted speedup requires.
-    #[must_use]
-    pub fn single_ipc(&self, w: &Arc<dyn Workload>, scheme: Scheme, l1pf: L1Pf, gbps: f64) -> f64 {
-        self.run_cell_arc(&self.cell_single(w, scheme, l1pf, Some(gbps)))
-            .ipc()
-    }
-
-    /// Weighted speedup of a mix report relative to per-workload isolation
-    /// IPCs (paper §V-D): Σ IPC_shared / IPC_single.
-    #[must_use]
-    pub fn weighted_ipc(
-        &self,
-        ws: &[Arc<dyn Workload>; 4],
-        mix_report: &SimReport,
-        scheme: Scheme,
-        l1pf: L1Pf,
-        gbps: f64,
-    ) -> f64 {
-        ws.iter()
-            .zip(&mix_report.cores)
-            .map(|(w, core)| {
-                let single = self.single_ipc(w, scheme, l1pf, gbps);
-                if single <= 0.0 {
-                    0.0
-                } else {
-                    core.core.ipc() / single
-                }
-            })
-            .sum()
-    }
-
     /// Maps `f` over `items` on the configured number of worker threads,
     /// preserving order. A panicking closure re-panics on the caller with
     /// the failing item's `label`, so a dead cell in a thousand-cell grid
     /// is identifiable.
-    pub fn parallel_map_labeled<T, R, F, L>(&self, items: Vec<T>, label: L, f: F) -> Vec<R>
+    pub(crate) fn parallel_map_labeled<T, R, F, L>(&self, items: Vec<T>, label: L, f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
@@ -1160,6 +1109,24 @@ impl Harness {
     }
 }
 
+/// Deduplicates a batch by key: the index of each key's first cell, and
+/// for every cell the position of its key in that list.
+fn dedup(cells: &[RunCell]) -> (Vec<usize>, Vec<usize>) {
+    let mut first = HashMap::new();
+    let mut unique = Vec::new();
+    let slot = cells
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            *first.entry(c.key).or_insert_with(|| {
+                unique.push(i);
+                unique.len() - 1
+            })
+        })
+        .collect();
+    (unique, slot)
+}
+
 /// Best-effort extraction of a panic payload's message.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -1197,6 +1164,21 @@ pub fn mean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn single(
+        h: &Harness,
+        w: &Arc<dyn Workload>,
+        s: Scheme,
+        p: L1Pf,
+        gbps: Option<f64>,
+    ) -> RunCell {
+        h.cell(
+            std::slice::from_ref(w),
+            s.resolve(),
+            p.resolve(),
+            Machine::CascadeLake(gbps),
+        )
+    }
 
     #[test]
     fn geomean_of_uniform_is_identity() {
@@ -1270,24 +1252,24 @@ mod tests {
         let h = Harness::new(RunConfig::test());
         let w = h.workloads()[0].clone();
         let v = h.workloads()[1].clone();
+        let (base, ipcp) = (Scheme::Baseline.resolve(), L1Pf::Ipcp.resolve());
         let cells = [
-            h.cell_single(&w, Scheme::Baseline, L1Pf::Ipcp, None),
-            h.cell_single(&v, Scheme::Baseline, L1Pf::Ipcp, None),
-            h.cell_single(&w, Scheme::Tlp, L1Pf::Ipcp, None),
-            h.cell_single(&w, Scheme::Baseline, L1Pf::Berti, None),
-            h.cell_single(&w, Scheme::Baseline, L1Pf::Ipcp, Some(12.8)),
-            h.cell_mix(
+            single(&h, &w, Scheme::Baseline, L1Pf::Ipcp, None),
+            single(&h, &v, Scheme::Baseline, L1Pf::Ipcp, None),
+            single(&h, &w, Scheme::Tlp, L1Pf::Ipcp, None),
+            single(&h, &w, Scheme::Baseline, L1Pf::Berti, None),
+            single(&h, &w, Scheme::Baseline, L1Pf::Ipcp, Some(12.8)),
+            h.cell(
                 &[w.clone(), w.clone(), w.clone(), w.clone()],
-                Scheme::Baseline,
-                L1Pf::Ipcp,
-                None,
+                Arc::clone(&base),
+                Arc::clone(&ipcp),
+                Machine::CascadeLake(None),
             ),
-            h.cell_custom(
-                &w,
-                Scheme::Baseline,
-                L1Pf::Ipcp,
-                SystemConfig::cascade_lake(1),
-                "lru",
+            h.cell(
+                std::slice::from_ref(&w),
+                base,
+                ipcp,
+                Machine::Custom(Box::new(SystemConfig::cascade_lake(1)), "lru".to_owned()),
             ),
         ];
         let keys: HashSet<RunKey> = cells.iter().map(RunCell::key).collect();
@@ -1302,9 +1284,23 @@ mod tests {
         let h2 = Harness::new(rc);
         let w = h1.workloads()[0].clone();
         assert_ne!(
-            h1.cell_single(&w, Scheme::Baseline, L1Pf::Ipcp, None).key(),
-            h2.cell_single(&w, Scheme::Baseline, L1Pf::Ipcp, None).key(),
+            single(&h1, &w, Scheme::Baseline, L1Pf::Ipcp, None).key(),
+            single(&h2, &w, Scheme::Baseline, L1Pf::Ipcp, None).key(),
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "SimPoint sampling replays a single-core cell")]
+    fn simpoints_reject_a_mix_cell() {
+        let h = Harness::new(RunConfig::test());
+        let w = h.workloads()[0].clone();
+        let mix = h.cell(
+            &[w.clone(), w.clone(), w.clone(), w],
+            Scheme::Baseline.resolve(),
+            L1Pf::Ipcp.resolve(),
+            Machine::CascadeLake(None),
+        );
+        let _ = h.simpoints(&mix, 1);
     }
 
     #[test]
@@ -1314,17 +1310,18 @@ mod tests {
         rc.instructions = 4_000;
         let h = Harness::new(rc);
         let w = h.workloads()[0].clone();
-        let batch = vec![
-            h.cell_single(&w, Scheme::Baseline, L1Pf::Ipcp, None),
-            h.cell_single(&w, Scheme::Baseline, L1Pf::Ipcp, None),
-            h.cell_single(&w, Scheme::Baseline, L1Pf::Ipcp, None),
-        ];
-        h.run_cells(batch);
+        let a = single(&h, &w, Scheme::Baseline, L1Pf::Ipcp, None);
+        let reports = h.run(&[a.clone(), a.clone(), a.clone()]);
+        assert_eq!(reports.len(), 3, "one report per input cell");
+        assert!(Arc::ptr_eq(&reports[0], &reports[1]));
+        assert!(Arc::ptr_eq(&reports[0], &reports[2]));
         let st = h.engine_stats();
         assert_eq!(st.simulated, 1, "triplicate cell simulates once");
         assert_eq!(st.deduped, 2);
-        // Collection is a pure cache hit.
-        let _ = h.run_single(&w, Scheme::Baseline, L1Pf::Ipcp);
+        assert_eq!(st.requested, 1, "a batch looks each unique cell up once");
+        // A second batch is a pure cache hit.
+        let again = h.run(&[a]);
+        assert!(Arc::ptr_eq(&reports[0], &again[0]));
         let st = h.engine_stats();
         assert_eq!(st.simulated, 1);
         assert_eq!(st.mem_hits, 1);

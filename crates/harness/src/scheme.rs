@@ -10,7 +10,7 @@
 //! (`tlp_core::register_builtin`, `tlp_prefetch::register_builtin`, ...).
 //! Adding a new composition no longer means editing this file: register
 //! components, build a spec, run it through
-//! [`Session`](crate::session::Session) or `tlp_repro --scheme`.
+//! [`Harness::cells`](crate::Harness::cells) or `tlp_repro --scheme`.
 //!
 //! Cache-key discipline: every variant pins its pre-registry key
 //! ([`SchemeSpec::pinned_key`]), so the `RunKey` of every built-in cell

@@ -1,10 +1,10 @@
 //! The `--timeline` export: simulated-time telemetry rendered for
 //! humans and tools.
 //!
-//! [`capture_runs`] re-simulates each requested cell with a
-//! [`tlp_timeline::Recorder`] attached (through the blob cache in
-//! [`crate::cache`], so warm re-runs are file reads) and the renderers
-//! here turn the captured [`Timeline`]s into:
+//! [`Harness::timelines`](crate::Harness::timelines) re-simulates each
+//! requested cell with a [`tlp_timeline::Recorder`] attached (through the
+//! blob cache in [`crate::cache`], so warm re-runs are file reads) and the
+//! renderers here turn the captured [`Timeline`]s into:
 //!
 //! - **Chrome trace-event JSON** ([`chrome_trace_value`]) — loadable in
 //!   Perfetto / `chrome://tracing`. Windows become counter tracks
@@ -25,16 +25,12 @@ use std::path::Path;
 use std::sync::Arc;
 
 use tlp_sim::serial::Value;
-use tlp_sim::{Timeline, TimelineConfig};
-use tlp_trace::emit::Workload;
-
-use crate::runner::Harness;
-use crate::scheme::{L1Pf, Scheme};
+use tlp_sim::Timeline;
 
 /// One captured cell: identity plus its telemetry.
 #[derive(Clone)]
 pub struct TimelineRun {
-    /// Workload name (catalog key).
+    /// Workload name (catalog key; a mix joins its four with `+`).
     pub workload: String,
     /// Scheme name.
     pub scheme: String,
@@ -42,27 +38,6 @@ pub struct TimelineRun {
     pub l1pf: String,
     /// The captured telemetry.
     pub timeline: Arc<Timeline>,
-}
-
-/// Captures timelines for `workloads` under one scheme/prefetcher pair,
-/// through the harness's blob cache.
-#[must_use]
-pub fn capture_runs(
-    harness: &Harness,
-    workloads: &[Arc<dyn Workload>],
-    scheme: Scheme,
-    l1pf: L1Pf,
-    tcfg: TimelineConfig,
-) -> Vec<TimelineRun> {
-    workloads
-        .iter()
-        .map(|w| TimelineRun {
-            workload: w.name().to_owned(),
-            scheme: scheme.name().to_owned(),
-            l1pf: l1pf.name().to_owned(),
-            timeline: harness.timeline_single(w, scheme, l1pf, tcfg),
-        })
-        .collect()
 }
 
 /// A compact summary of captured runs — embedded into the `--profile`

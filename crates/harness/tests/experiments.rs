@@ -178,24 +178,3 @@ fn static_tables_render_without_simulation() {
     let t3 = tables::table3();
     assert!(!t3.rows.is_empty());
 }
-
-#[test]
-fn hand_planned_experiments_cover_their_collection_grids() {
-    // ext02/ext06 build their cell batches by hand (custom configs) and
-    // fig03 through the shared mix planner; if a planning loop ever
-    // drifts from its collection loop, the missed cells simulate inline
-    // on the caller thread — correct but serial. The engine counts those,
-    // and for migrated experiments the count must stay zero.
-    let h = tiny_harness();
-    let _ = ext02_replacement::run(&h);
-    let _ = ext06_victim::run(&h);
-    let _ = tlp_harness::experiments::fig03::run(&h);
-    let stats = h.engine_stats();
-    assert_eq!(
-        stats.inline_simulated,
-        0,
-        "collection fell off the planned grid: {}",
-        stats.summary_line()
-    );
-    assert!(stats.simulated > 0, "the experiments did simulate");
-}

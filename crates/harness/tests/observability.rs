@@ -1,40 +1,32 @@
 //! End-to-end observability tests: the `--profile` artifact is written
-//! through the same [`Session`] path the CLI uses, parses with the
+//! through the same [`Harness`] path the CLI uses, parses with the
 //! workspace's own JSON codec, and its counters are field-for-field the
 //! numbers on the `# run-engine:` summary line (both render from the
 //! same metrics registry).
 
-use std::sync::Arc;
-
-use tlp_harness::{RunConfig, Session};
+use tlp_harness::{Harness, RunConfig};
+use tlp_plugin::SchemeSpec;
 use tlp_sim::serial::parse_value;
 
-/// Runs a small grid twice over one session — the repeat turns every
+/// Runs a small grid twice over one harness — the repeat turns every
 /// cell into a memory hit — then checks the written artifact against
 /// the summary line's counters.
 #[test]
 fn profile_artifact_matches_the_summary_line() {
-    let session = Session::new(RunConfig::test());
-    let h = session.harness();
-    let workloads = h.active_workloads();
-    let scheme = session.resolve_scheme_name("Baseline").expect("scheme");
-    let pf = session.resolve_l1pf_name("ipcp").expect("prefetcher");
-    let cells = |n: usize| {
-        workloads
-            .iter()
-            .take(n)
-            .map(|w| h.cell_single_spec(w, Arc::clone(&scheme), Arc::clone(&pf), None))
-            .collect::<Vec<_>>()
-    };
-    h.run_cells(cells(2)); // cold: both cells simulate
-    h.run_cells(cells(2)); // warm: both cells hit in memory
+    let h = Harness::new(RunConfig::test());
+    let spec: SchemeSpec = h.registry().scheme("Baseline").expect("scheme").clone();
+    let names: Vec<String> = h.active_workloads()[..2]
+        .iter()
+        .map(|w| w.name().to_owned())
+        .collect();
+    let cells = h.cells(&spec, "ipcp", &names).expect("cells");
+    let _ = h.run(&cells); // cold: both cells simulate
+    let _ = h.run(&cells); // warm: both cells hit in memory
 
     let dir = std::env::temp_dir().join(format!("tlp-obs-profile-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tempdir");
     let path = dir.join("profile.json");
-    session
-        .write_profile("cycle", &path)
-        .expect("profile written");
+    tlp_harness::profile::write_profile(&h, "cycle", &path).expect("profile written");
 
     let text = std::fs::read_to_string(&path).expect("artifact readable");
     let _ = std::fs::remove_dir_all(&dir);
@@ -52,13 +44,13 @@ fn profile_artifact_matches_the_summary_line() {
         text,
         "artifact render round-trips losslessly"
     );
-    // No timeline was captured in this session: the summary is absent.
+    // No timeline was captured on this harness: the summary is absent.
     assert!(parsed.field("timeline").is_err());
 
     // When a timeline summary is supplied, it embeds under the same
     // schema and still round-trips.
     let with_timeline = tlp_harness::profile::profile_value_with(
-        h,
+        &h,
         "cycle",
         Some(tlp_harness::timeline::summary_value(&[])),
     );
@@ -68,7 +60,7 @@ fn profile_artifact_matches_the_summary_line() {
     assert_eq!(tl.u64_field("total_windows").unwrap(), 0);
 
     // The run_engine section equals the summary-line counters exactly.
-    let stats = session.engine_stats();
+    let stats = h.engine_stats();
     let line = stats.summary_line();
     let re = parsed.field("run_engine").expect("run_engine section");
     for (field, value) in [
@@ -79,7 +71,6 @@ fn profile_artifact_matches_the_summary_line() {
         ("coalesced", stats.coalesced),
         ("corrupt", stats.corrupt),
         ("evicted", stats.evicted),
-        ("inline_simulated", stats.inline_simulated),
         ("simulated", stats.simulated),
     ] {
         assert_eq!(

@@ -1,7 +1,7 @@
 //! Integration tests for the registry-driven composition API: RunKey
 //! stability against the pre-refactor golden values, registry hygiene
 //! (duplicates, uniqueness), and a custom component running end-to-end
-//! through [`Session`].
+//! through a [`Harness`]'s registry and run engine.
 
 use std::sync::Arc;
 
@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use tlp_core::variants::TlpVariant;
 use tlp_harness::scheme::all_builtin_schemes;
-use tlp_harness::{builtin_registry, Harness, L1Pf, RunConfig, Scheme, Session, TlpParams};
+use tlp_harness::{builtin_registry, Harness, L1Pf, Machine, RunConfig, Scheme, TlpParams};
 use tlp_plugin::{ComponentRef, PluginError, SchemeSpec, Seam};
 use tlp_sim::hooks::{DemandAccess, L1Prefetcher, PrefetchCandidate};
 use tlp_sim::types::LINE_SIZE;
@@ -85,17 +85,16 @@ fn cell_runkeys_match_the_pre_refactor_golden_hexes() {
         (Scheme::AthenaRl, "a7c5491a0e14a599755ba16364f97b94"),
     ];
     for (scheme, hex) in singles {
-        assert_eq!(
-            h.cell_single(&w, scheme, L1Pf::Ipcp, None).key().hex(),
-            hex,
-            "{scheme:?} cell address drifted"
-        );
+        let ws = std::slice::from_ref(&w);
+        let ipcp = L1Pf::Ipcp.resolve();
+        let cell = h.cell(ws, scheme.resolve(), ipcp, Machine::CascadeLake(None));
+        assert_eq!(cell.key().hex(), hex, "{scheme:?} cell address drifted");
     }
-    let mix = h.cell_mix(
+    let mix = h.cell(
         &[w.clone(), w.clone(), w.clone(), w.clone()],
-        Scheme::Variant(TlpVariant::Tsp),
-        L1Pf::BertiExtra,
-        Some(1.6),
+        Scheme::Variant(TlpVariant::Tsp).resolve(),
+        L1Pf::BertiExtra.resolve(),
+        Machine::CascadeLake(Some(1.6)),
     );
     assert_eq!(mix.key().hex(), "e20b8af37c58976857c09518843041c7");
 }
@@ -136,11 +135,11 @@ fn builtin_names_are_unique() {
 }
 
 /// Re-registering any built-in name (component or scheme) is rejected on
-/// a session's private registry.
+/// a harness's private registry.
 #[test]
 fn duplicate_registration_is_rejected_for_builtins() {
-    let mut session = Session::new(RunConfig::test());
-    let reg = session.registry_mut();
+    let mut h = Harness::new(RunConfig::test());
+    let reg = h.registry_mut();
     let err = reg
         .register_l1_prefetcher("ipcp", "elsewhere", Arc::new(|_, _| unreachable!()))
         .unwrap_err();
@@ -209,15 +208,15 @@ impl L1Prefetcher for NextN {
 }
 
 /// End-to-end: register a custom prefetcher, compose a spec, run it
-/// through `Session` on the shared run engine, and observe it actually
-/// prefetching — without touching `crates/harness/src/scheme.rs`.
+/// through a harness's run engine, and observe it actually prefetching —
+/// without touching `crates/harness/src/scheme.rs`.
 #[test]
 fn custom_next_n_prefetcher_runs_through_session() {
     let mut rc = RunConfig::test();
     rc.warmup = 1_000;
     rc.instructions = 6_000;
-    let mut session = Session::new(rc);
-    let name = session
+    let mut h = Harness::new(rc);
+    let name = h
         .registry_mut()
         .register_custom_l1_prefetcher(
             "next-n",
@@ -236,83 +235,95 @@ fn custom_next_n_prefetcher_runs_through_session() {
         .l1_prefetcher(ComponentRef::new(&name).param("n", 3))
         .l2_prefetcher(ComponentRef::new("spp").param("profile", "standard"))
         .l1_filter("slp");
-    session
-        .registry_mut()
+    h.registry_mut()
         .register_custom_scheme(spec.clone())
         .expect("scheme registers");
-    let resolved = session
+    let resolved = h
         .resolve_scheme_name("sandwich-sweep")
         .expect("resolves by name");
     assert!(resolved.cache_key.contains("custom:next-n{n=3}"));
 
-    let report = session
-        .run_single("spec.mcf_06", &spec, "none")
-        .expect("runs");
+    let mcf = ["spec.mcf_06".to_owned()];
+    let cells = h.cells(&spec, "none", &mcf).expect("cells resolve");
+    let report = h.run(&cells).remove(0);
     let issued: u64 = report.cores.iter().map(|c| c.l1_prefetch.issued).sum();
     assert!(issued > 0, "the custom prefetcher must issue prefetches");
-
-    // The run went through the planned engine path, not inline.
-    let stats = session.engine_stats();
-    assert_eq!(stats.inline_simulated, 0);
-    assert_eq!(stats.simulated, 1);
+    assert_eq!(h.engine_stats().simulated, 1);
 
     // Same spec again: pure cache hit (content addressing covers custom
     // components).
-    let again = session
-        .run_single("spec.mcf_06", &spec, "none")
-        .expect("warm run");
+    let cells = h.cells(&spec, "none", &mcf).expect("cells resolve");
+    let again = h.run(&cells).remove(0);
     assert_eq!(report, again);
-    assert_eq!(session.engine_stats().simulated, 1);
+    assert_eq!(h.engine_stats().simulated, 1);
 }
 
 /// Malformed factory parameters surface as `Err` at resolution time —
 /// not as a worker-thread panic at simulation time.
 #[test]
 fn session_rejects_bad_params_before_simulating() {
-    let session = Session::new(RunConfig::test());
+    let h = Harness::new(RunConfig::test());
     let bad_value = SchemeSpec::new("x").offchip(ComponentRef::new("flp").param("delay", "warp"));
-    let err = session.resolve_spec(&bad_value).unwrap_err();
+    let err = h.resolve_spec(&bad_value).unwrap_err();
     assert!(err.to_string().contains("delay"), "{err}");
     let typo_key = SchemeSpec::new("y").l1_prefetcher(ComponentRef::new("ipcp").param("scal", 4));
-    let err = session
-        .run_single("spec.mcf_06", &typo_key, "none")
+    let err = h
+        .cells(&typo_key, "none", &["spec.mcf_06".to_owned()])
         .unwrap_err();
     assert!(err.to_string().contains("unknown parameter"), "{err}");
-    assert_eq!(session.engine_stats().simulated, 0, "nothing may simulate");
+    assert_eq!(h.engine_stats().simulated, 0, "nothing may simulate");
 }
 
 /// Pinned keys cannot masquerade as derived keys or registered schemes.
 #[test]
 fn session_rejects_aliasing_pinned_keys() {
-    let session = Session::new(RunConfig::test());
+    let h = Harness::new(RunConfig::test());
     let forged = SchemeSpec::new("z")
         .offchip("hermes")
         .pinned_key("spec:oc=flp;l1pf=-;l1f=slp;l2pf=spp{profile=standard};l2f=-");
     assert!(matches!(
-        session.resolve_spec(&forged),
+        h.resolve_spec(&forged),
         Err(tlp_harness::SessionError::Plugin(
             PluginError::PinnedKeyRejected { .. }
         ))
     ));
     let imposter = SchemeSpec::new("mine").offchip("hermes").pinned_key("TLP");
     assert!(matches!(
-        session.resolve_spec(&imposter),
+        h.resolve_spec(&imposter),
         Err(tlp_harness::SessionError::Plugin(
             PluginError::PinnedKeyRejected { .. }
         ))
     ));
 }
 
-/// Unknown names surface with did-you-mean suggestions at session level.
+/// Name resolution: unknown names surface with did-you-mean
+/// suggestions, and [`Harness::cells`] keeps the first occurrence of each
+/// workload name, in order, without simulating anything.
 #[test]
 fn session_lookups_suggest() {
-    let session = Session::new(RunConfig::test());
-    let err = session.resolve_scheme_name("Basline").unwrap_err();
+    let h = Harness::new(RunConfig::test());
+    let err = h.resolve_scheme_name("Basline").unwrap_err();
     assert!(err.to_string().contains("did you mean"), "{err}");
-    let err = session.resolve_l1pf_name("bertii").unwrap_err();
+    let err = h.resolve_l1pf_name("bertii").unwrap_err();
     assert!(err.to_string().contains("berti"), "{err}");
-    let err = session
-        .run_single("spec.mcf_07", &SchemeSpec::new("x"), "ipcp")
+
+    let spec = SchemeSpec::new("x");
+    let names = ["spec.mcf_06", "bfs.kron", "spec.mcf_06"].map(String::from);
+    let cells = h.cells(&spec, "ipcp", &names).expect("known names");
+    let got: Vec<&str> = cells.iter().map(|c| c.workloads()[0].name()).collect();
+    assert_eq!(got, ["spec.mcf_06", "bfs.kron"], "deduplicated, in order");
+
+    let err = h
+        .cells(&spec, "ipcp", &["spec.mcf_07".to_owned()])
         .unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            tlp_harness::SessionError::UnknownWorkload { did_you_mean, .. }
+                if did_you_mean.iter().any(|n| n == "spec.mcf_06")
+        ),
+        "{err}"
+    );
     assert!(err.to_string().contains("unknown workload"), "{err}");
+    assert_eq!(h.engine_stats().requested, 0, "nothing may simulate");
 }

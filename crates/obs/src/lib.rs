@@ -35,6 +35,8 @@
 //! println!("{}", snap.render_prometheus());
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};

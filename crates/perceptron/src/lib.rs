@@ -27,6 +27,8 @@
 //! assert!(p.sum(&idx) > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod hash;
 mod perceptron;
 mod table;

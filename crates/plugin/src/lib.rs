@@ -29,6 +29,8 @@
 //! default for user specs) start with `spec:` and custom component names
 //! with `custom:`, two namespaces no built-in key ever occupies.
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod params;
 pub mod registry;

@@ -152,7 +152,7 @@ pub type L2FilterFactory = Arc<
 /// guarded by the harness's `CODE_VERSION` salt, but the registry cannot
 /// see inside a user factory. After changing a custom component's
 /// *implementation*, bump a version parameter in the specs that
-/// reference it (e.g. `.param("v", 2)`) or point the session at a fresh
+/// reference it (e.g. `.param("v", 2)`) or point the harness at a fresh
 /// cache directory; otherwise a persistent disk tier will keep serving
 /// the old implementation's results.
 pub const CUSTOM_PREFIX: &str = "custom:";
@@ -299,8 +299,8 @@ struct SchemeEntry {
 /// named [`SchemeSpec`]s (the `--scheme` lookup space).
 ///
 /// Cloning is cheap-ish (factories are `Arc`s); the harness keeps one
-/// built-in registry and a `Session` clones it so user registrations
-/// never leak across sessions.
+/// built-in registry and every `Harness` clones it so user registrations
+/// never leak across harnesses.
 #[derive(Clone)]
 pub struct ComponentRegistry {
     offchip: SeamMap<OffChipFactory>,

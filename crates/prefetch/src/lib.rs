@@ -7,6 +7,8 @@
 //! the simulator through [`tlp_sim::hooks::L1Prefetcher`] /
 //! [`tlp_sim::hooks::L2Prefetcher`].
 
+#![forbid(unsafe_code)]
+
 pub mod berti;
 pub mod ipcp;
 pub mod nextline;

@@ -34,6 +34,8 @@
 //! assert!(report.within_budget());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod agent;
 pub mod hooks;
 pub mod qtable;

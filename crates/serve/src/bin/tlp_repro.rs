@@ -38,9 +38,9 @@ use tlp_harness::experiments::{
     fig14, fig15, fig16, fig17, tables,
 };
 use tlp_harness::report::ExperimentResult;
-use tlp_harness::{Harness, L1Pf, RunConfig, Session, TimelineRun};
+use tlp_harness::{Harness, L1Pf, RunConfig, TimelineRun};
 use tlp_plugin::Seam;
-use tlp_serve::{Client, ServeError, Server, SweepRequest, TimelineQuery};
+use tlp_serve::{scheme_result, Client, ServeError, Server, SweepRequest, TimelineQuery};
 
 const ALL_EXPERIMENTS: [&str; 23] = [
     "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig10", "fig11", "fig12", "fig13", "fig14",
@@ -426,7 +426,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    let mut session = Session::new(rc);
+    let mut h = Harness::new(rc);
     if let (Some(dir), false) = (&cache_dir, no_cache) {
         let disk = match DiskCache::open(dir) {
             Ok(d) => d,
@@ -435,14 +435,14 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        session = session.with_disk_cache(match cache_cap_mb {
+        h = h.with_disk_cache(match cache_cap_mb {
             Some(mb) => disk.with_cap_bytes(mb.saturating_mul(1024 * 1024)),
             None => disk,
         });
     }
     if let Some(dir) = &trace_dir {
-        session = match session.with_trace_dir(dir) {
-            Ok(s) => s,
+        h = match h.with_trace_dir(dir) {
+            Ok(h) => h,
             Err(e) => {
                 eprintln!("cannot open trace dir {}: {e}", dir.display());
                 std::process::exit(1);
@@ -469,8 +469,7 @@ fn main() {
             eprintln!("--import-trace {spec}: cannot derive a name; use FILE:NAME");
             std::process::exit(2);
         }
-        let store = session
-            .harness()
+        let store = h
             .trace_store()
             .expect("--trace-dir validated above")
             .clone();
@@ -502,7 +501,7 @@ fn main() {
     if !trace_info_args.is_empty() {
         for arg in &trace_info_args {
             let path = if let Some(short) = arg.strip_prefix("trace:") {
-                match session.harness().trace_store() {
+                match h.trace_store() {
                     Some(store) => store.import_path(short),
                     None => {
                         eprintln!("--trace-info {arg}: names need --trace-dir DIR");
@@ -543,13 +542,13 @@ fn main() {
     let mut bad_names = false;
     if connect_addr.is_none() {
         for name in &schemes {
-            if let Err(e) = session.resolve_scheme_name(name) {
+            if let Err(e) = h.resolve_scheme_name(name) {
                 eprintln!("{e} (--list-schemes shows all)");
                 bad_names = true;
             }
         }
         if l1pf_given || !schemes.is_empty() {
-            if let Err(e) = session.resolve_l1pf_name(&l1pf_name) {
+            if let Err(e) = h.resolve_l1pf_name(&l1pf_name) {
                 eprintln!("{e} (--list-prefetchers shows all)");
                 bad_names = true;
             }
@@ -562,10 +561,10 @@ fn main() {
     if bad_names {
         std::process::exit(2);
     }
-    // Daemon mode: hand the whole session (registry + cache + pool) to
+    // Daemon mode: hand the whole harness (registry + cache + pool) to
     // the service and serve forever.
     if let Some(addr) = &serve_addr {
-        let server = match Server::bind(addr.as_str(), session) {
+        let server = match Server::bind(addr.as_str(), h) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("cannot bind {addr}: {e}");
@@ -646,7 +645,7 @@ fn main() {
                     std::process::exit(1);
                 }
             };
-            let table = tlp_harness::scheme_result(name, &l1pf_name, &reply.rows());
+            let table = scheme_result(name, &l1pf_name, &reply.rows());
             emit_results(&format!("scheme {name}"), vec![table], t0);
             last_summary = Some(reply.summary);
         }
@@ -715,7 +714,6 @@ fn main() {
         }
         return;
     }
-    let h = session.harness();
     eprintln!(
         "# scale {:?}, warmup {}, instructions {}, {} single-core workloads, {} threads, {} engine",
         rc.scale,
@@ -727,68 +725,44 @@ fn main() {
     );
     for exp in &requested {
         let t0 = std::time::Instant::now();
-        let results = run_experiment(h, exp, rc);
+        let results = run_experiment(&h, exp, rc);
         emit_results(exp, results, t0);
     }
     for name in &schemes {
         let t0 = std::time::Instant::now();
-        let spec = session
-            .registry()
-            .scheme(name)
-            .expect("validated above")
-            .clone();
-        // --simpoints K: each cell becomes a SimPoint estimate (replay
-        // the top-K regions, blend by cluster weight). --workload
-        // restricts either mode to named workloads, including trace:
-        // imports.
-        let table = if let Some(k) = simpoints_k {
-            let targets: Vec<String> = if workload_names.is_empty() {
-                h.active_workloads()
-                    .iter()
-                    .map(|w| w.name().to_owned())
-                    .collect()
-            } else {
-                workload_names.clone()
-            };
-            let mut rows = Vec::new();
-            for wname in &targets {
-                match session.run_simpoints(wname, &spec, &l1pf_name, k) {
-                    Ok(run) => {
-                        eprintln!(
-                            "# simpoints: {wname} replayed {} regions of {} instructions",
-                            run.regions.len(),
-                            run.interval
-                        );
-                        rows.push((wname.clone(), run.estimate));
-                    }
-                    Err(e) => {
-                        eprintln!("--scheme {name} --simpoints {k}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            tlp_harness::scheme_result(name, &l1pf_name, &rows)
-        } else if !workload_names.is_empty() {
-            let mut rows = Vec::new();
-            for wname in &workload_names {
-                match session.run_single(wname, &spec, &l1pf_name) {
-                    Ok(r) => rows.push((wname.clone(), r)),
-                    Err(e) => {
-                        eprintln!("--scheme {name} --workload {wname}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            tlp_harness::scheme_result(name, &l1pf_name, &rows)
-        } else {
-            match session.scheme_table(&spec, &l1pf_name) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("--scheme {name}: {e}");
-                    std::process::exit(1);
-                }
+        let spec = h.registry().scheme(name).expect("validated above").clone();
+        // --workload restricts the sweep to named workloads (trace:
+        // imports included) under the same rule the daemon applies.
+        let cells = match h.cells(&spec, &l1pf_name, &workload_names) {
+            Ok(c) => c,
+            Err(e) => {
+                eprintln!("--scheme {name}: {e}");
+                std::process::exit(1);
             }
         };
+        // --simpoints K: each cell becomes a SimPoint estimate (replay
+        // the top-K regions, blend by cluster weight).
+        let rows: Vec<_> = match simpoints_k {
+            Some(k) => cells
+                .iter()
+                .map(|cell| {
+                    let run = h.simpoints(cell, k);
+                    eprintln!(
+                        "# simpoints: {} replayed {} regions of {} instructions",
+                        run.workload,
+                        run.regions.len(),
+                        run.interval
+                    );
+                    (run.workload, run.estimate)
+                })
+                .collect(),
+            None => cells
+                .iter()
+                .zip(h.run(&cells))
+                .map(|(cell, r)| (cell.workloads()[0].name().to_owned(), (*r).clone()))
+                .collect(),
+        };
+        let table = scheme_result(name, &l1pf_name, &rows);
         emit_results(&format!("scheme {name}"), vec![table], t0);
     }
     // The run-engine summary (CI's cache-behavior job asserts on it: a
@@ -798,12 +772,12 @@ fn main() {
     println!(
         "# run-engine: engine={} {}",
         rc.engine,
-        session.engine_stats().summary_line()
+        h.engine_stats().summary_line()
     );
     // The trace-store summary (CI's trace-store job asserts on it: a
     // warm --trace-dir run must report captures=0).
     if trace_dir.is_some() {
-        let ts = session.harness().trace_stats();
+        let ts = h.trace_stats();
         println!(
             "# trace-store: captures={} mem_hits={} disk_hits={} evictions={} corrupt={} resident={}",
             ts.captures, ts.mem_hits, ts.disk_hits, ts.evictions, ts.corrupt, ts.resident
@@ -815,25 +789,21 @@ fn main() {
     let mut timeline_runs: Option<Vec<TimelineRun>> = None;
     if let Some(path) = &timeline_path {
         let scheme_name = schemes.first().cloned().unwrap_or_else(|| "TLP".to_owned());
-        let spec = match session.registry().scheme(&scheme_name) {
+        let spec = match h.registry().scheme(&scheme_name) {
             Ok(s) => s.clone(),
             Err(e) => {
                 eprintln!("--timeline: {e} (--list-schemes shows all)");
                 std::process::exit(2);
             }
         };
-        let runs = match session.timeline_runs(
-            &[],
-            &spec,
-            &l1pf_name,
-            tlp_harness::TimelineConfig::default(),
-        ) {
-            Ok(r) => r,
+        let cells = match h.cells(&spec, &l1pf_name, &[]) {
+            Ok(c) => c,
             Err(e) => {
                 eprintln!("--timeline: {e}");
                 std::process::exit(1);
             }
         };
+        let runs = h.timelines(&cells, tlp_harness::TimelineConfig::default());
         if let Err(e) = tlp_harness::timeline::write_timeline_files(path, &runs) {
             eprintln!("cannot write timeline {}: {e}", path.display());
             std::process::exit(1);
@@ -853,11 +823,8 @@ fn main() {
         let summary = timeline_runs
             .as_deref()
             .map(tlp_harness::timeline::summary_value);
-        let artifact = tlp_harness::profile::profile_value_with(
-            session.harness(),
-            &rc.engine.to_string(),
-            summary,
-        );
+        let artifact =
+            tlp_harness::profile::profile_value_with(&h, &rc.engine.to_string(), summary);
         if let Err(e) = std::fs::write(path, artifact.render()) {
             eprintln!("cannot write profile {}: {e}", path.display());
             std::process::exit(1);

@@ -2,6 +2,8 @@
 
 use std::net::{TcpStream, ToSocketAddrs};
 
+use tlp_harness::report::{ExperimentResult, Row};
+use tlp_harness::runner::mean;
 use tlp_sim::serial::SerialError;
 use tlp_sim::SimReport;
 
@@ -58,7 +60,7 @@ pub struct SweepReply {
 
 impl SweepReply {
     /// The reply as `(workload, report)` rows in request order — the
-    /// shape [`tlp_harness::scheme_result`] renders.
+    /// shape [`scheme_result`] renders.
     #[must_use]
     pub fn rows(&self) -> Vec<(String, SimReport)> {
         self.cells
@@ -66,6 +68,54 @@ impl SweepReply {
             .map(|c| (c.workload.clone(), c.report.clone()))
             .collect()
     }
+}
+
+/// Renders sweep rows as the `--scheme` [`ExperimentResult`] table (one
+/// row per workload: IPC, DRAM transactions, L1D prefetches issued, plus
+/// a mean-IPC summary row). The CLI renders local runs and a daemon's
+/// streamed reports through this one function, so both print the same
+/// bytes.
+#[must_use]
+pub fn scheme_result(
+    scheme_name: &str,
+    l1pf: &str,
+    rows: &[(String, SimReport)],
+) -> ExperimentResult {
+    let mut result = ExperimentResult::new(
+        format!("scheme-{}", slug(scheme_name)),
+        format!("Scheme sweep: {scheme_name} (L1D prefetcher: {l1pf})"),
+        "IPC / DRAM transactions / L1D prefetches issued",
+    );
+    let mut ipcs = Vec::new();
+    for (workload, report) in rows {
+        let issued: u64 = report.cores.iter().map(|c| c.l1_prefetch.issued).sum();
+        ipcs.push(report.ipc());
+        result.rows.push(Row::new(
+            workload.clone(),
+            vec![
+                ("IPC".to_owned(), report.ipc()),
+                ("DRAM".to_owned(), report.dram_transactions() as f64),
+                ("L1 PF issued".to_owned(), issued as f64),
+            ],
+        ));
+    }
+    result
+        .summary
+        .push(Row::new("mean", vec![("IPC".to_owned(), mean(&ipcs))]));
+    result
+}
+
+/// Lowercase, dash-separated form of a scheme name for result ids.
+fn slug(name: &str) -> String {
+    name.chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() {
+                c.to_ascii_lowercase()
+            } else {
+                '-'
+            }
+        })
+        .collect()
 }
 
 /// A connection to a running `tlp-serve` daemon. One connection carries

@@ -1,6 +1,6 @@
 //! `tlp-serve`: the concurrent simulation service.
 //!
-//! A daemon wraps one [`tlp_harness::Session`] — the composition
+//! A daemon wraps one [`tlp_harness::Harness`] — the composition
 //! registry, the two-tier content-addressed result cache, and the worker
 //! pool — behind a length-prefixed socket protocol so that *many*
 //! clients (CI shards, parameter-sweep scripts, teammates on one box)
@@ -27,17 +27,19 @@
 //!
 //! The wire format ([`protocol`]) reuses the cache's own JSON codec
 //! ([`tlp_sim::serial`]) for payloads, so a streamed report is
-//! byte-identical to its on-disk cache entry, and the client renders
-//! tables through the same [`tlp_harness::scheme_result`] path the
-//! in-process CLI uses — byte-identical output either way.
+//! byte-identical to its on-disk cache entry. A request's workload names
+//! resolve through [`tlp_harness::Harness::cells`], the rule a local run
+//! uses, and the client renders tables through the same
+//! [`scheme_result`] path as the in-process CLI — byte-identical output
+//! either way.
 //!
 //! # Example
 //!
 //! ```no_run
-//! use tlp_harness::{RunConfig, Session};
+//! use tlp_harness::{Harness, RunConfig};
 //! use tlp_serve::{Client, Server, SweepRequest};
 //!
-//! let server = Server::bind("127.0.0.1:0", Session::new(RunConfig::test())).unwrap();
+//! let server = Server::bind("127.0.0.1:0", Harness::new(RunConfig::test())).unwrap();
 //! let addr = server.local_addr().unwrap();
 //! let handle = server.spawn().unwrap();
 //!
@@ -55,11 +57,13 @@
 //! handle.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod protocol;
 pub mod server;
 
-pub use client::{Client, ServeError, SweepReply};
+pub use client::{scheme_result, Client, ServeError, SweepReply};
 pub use protocol::{
     CellFrame, ErrorFrame, FrameKind, StatsFrame, SummaryFrame, SweepRequest, TimelineQuery,
     TimelineReply, PROTO_VERSION,

@@ -19,8 +19,9 @@ use tlp_sim::serial::{self, SerialError, Value};
 use tlp_sim::{SimReport, Timeline};
 
 /// Protocol version spoken by this build; requests carrying a different
-/// `proto` field are rejected.
-pub const PROTO_VERSION: u64 = 1;
+/// `proto` field are rejected. Version 2 dropped the SUMMARY frame's
+/// `inline` counter.
+pub const PROTO_VERSION: u64 = 2;
 
 /// Upper bound on a frame payload (a defense against garbage lengths
 /// from a non-protocol peer, not a real limit — a 4-core report is a few
@@ -202,7 +203,6 @@ impl SummaryFrame {
             ("coalesced".to_owned(), Value::Num(s.coalesced)),
             ("corrupt".to_owned(), Value::Num(s.corrupt)),
             ("evicted".to_owned(), Value::Num(s.evicted)),
-            ("inline".to_owned(), Value::Num(s.inline_simulated)),
             ("simulated".to_owned(), Value::Num(s.simulated)),
         ])
         .render()
@@ -227,7 +227,6 @@ impl SummaryFrame {
                 coalesced: v.u64_field("coalesced")?,
                 corrupt: v.u64_field("corrupt")?,
                 evicted: v.u64_field("evicted")?,
-                inline_simulated: v.u64_field("inline")?,
                 simulated: v.u64_field("simulated")?,
             },
         })
@@ -568,7 +567,6 @@ mod tests {
                 coalesced: 4,
                 corrupt: 1,
                 evicted: 2,
-                inline_simulated: 0,
                 simulated: 3,
             },
         };

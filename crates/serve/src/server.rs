@@ -1,7 +1,7 @@
-//! The daemon: a TCP accept loop over one shared [`Session`].
+//! The daemon: a TCP accept loop over one shared [`Harness`].
 //!
 //! Every connection gets its own handler thread, but all handlers share
-//! the *same* session — the same two-tier result cache, the same
+//! the *same* harness — the same registry, two-tier result cache, the same
 //! single-flight map, the same worker pool configuration. That sharing
 //! is the whole point: when two clients submit overlapping (or
 //! identical) grids, the cache's in-flight coalescing guarantees each
@@ -16,9 +16,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use tlp_harness::{Session, SessionError};
+use tlp_harness::{Harness, RunCell, SessionError};
 use tlp_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use tlp_trace::emit::Workload;
 
 use crate::protocol::{
     read_frame, write_frame, CellFrame, ErrorFrame, FrameKind, StatsFrame, SummaryFrame,
@@ -65,7 +64,7 @@ fn stamp(started: Instant) -> String {
 /// A bound, not-yet-serving simulation service.
 pub struct Server {
     listener: TcpListener,
-    session: Arc<Session>,
+    harness: Arc<Harness>,
     metrics: ServeMetrics,
     started: Instant,
 }
@@ -85,10 +84,10 @@ impl Server {
     /// # Errors
     ///
     /// Propagates the bind error (port in use, permission, ...).
-    pub fn bind(addr: impl ToSocketAddrs, session: Session) -> std::io::Result<Self> {
+    pub fn bind(addr: impl ToSocketAddrs, harness: Harness) -> std::io::Result<Self> {
         Ok(Self {
             listener: TcpListener::bind(addr)?,
-            session: Arc::new(session),
+            harness: Arc::new(harness),
             metrics: ServeMetrics::new(),
             started: Instant::now(),
         })
@@ -146,10 +145,10 @@ impl Server {
                     let id = next_conn;
                     next_conn += 1;
                     self.metrics.connections.inc();
-                    let session = Arc::clone(&self.session);
+                    let harness = Arc::clone(&self.harness);
                     let metrics = self.metrics.clone();
                     std::thread::spawn(move || {
-                        if let Err(e) = handle_connection(&stream, &session, &metrics) {
+                        if let Err(e) = handle_connection(&stream, &harness, &metrics) {
                             let peer = stream
                                 .peer_addr()
                                 .map_or_else(|_| "?".to_owned(), |a| a.to_string());
@@ -206,13 +205,13 @@ impl Drop for ServerHandle {
 }
 
 /// Reads requests off one connection until the peer hangs up. A request
-/// the session rejects (unknown scheme, unknown workload, malformed
+/// the harness rejects (unknown scheme, unknown workload, malformed
 /// payload) answers with an ERROR frame and keeps the connection open;
 /// only transport-level failures tear it down. A STATS frame answers
 /// with the daemon's live metrics snapshot.
 fn handle_connection(
     stream: &TcpStream,
-    session: &Session,
+    harness: &Harness,
     metrics: &ServeMetrics,
 ) -> std::io::Result<()> {
     let mut reader = stream.try_clone()?;
@@ -222,7 +221,7 @@ fn handle_connection(
             FrameKind::Request => {}
             FrameKind::Stats => {
                 let frame = StatsFrame {
-                    text: render_stats(metrics, session),
+                    text: render_stats(metrics, harness),
                 };
                 let mut w = writer.lock();
                 write_frame(&mut *w, FrameKind::Stats, &frame.encode())?;
@@ -241,7 +240,7 @@ fn handle_connection(
                 metrics.requests.inc();
                 metrics.in_flight.inc();
                 let t0 = Instant::now();
-                let result = answer_timeline(session, &query, &writer);
+                let result = answer_timeline(harness, &query, &writer);
                 metrics.latency.record_since(t0);
                 metrics.in_flight.dec();
                 match result {
@@ -271,7 +270,7 @@ fn handle_connection(
         metrics.requests.inc();
         metrics.in_flight.inc();
         let t0 = Instant::now();
-        let result = answer_sweep(session, &req, &writer, metrics);
+        let result = answer_sweep(harness, &req, &writer, metrics);
         metrics.latency.record_since(t0);
         metrics.in_flight.dec();
         match result {
@@ -286,14 +285,14 @@ fn handle_connection(
     Ok(())
 }
 
-/// The daemon's own metrics merged with the shared session's run-cache
+/// The daemon's own metrics merged with the shared harness's run-cache
 /// registry and the process-global registry (`sim_*` engine metrics
 /// when built with the `obs` feature), as Prometheus-style text.
-fn render_stats(metrics: &ServeMetrics, session: &Session) -> String {
+fn render_stats(metrics: &ServeMetrics, harness: &Harness) -> String {
     metrics
         .registry
         .snapshot()
-        .merged(session.metrics().snapshot())
+        .merged(harness.metrics().snapshot())
         .merged(tlp_obs::global().snapshot())
         .render_prometheus()
 }
@@ -311,44 +310,36 @@ impl From<SessionError> for AnswerError {
     }
 }
 
+/// The request's cells: a registered scheme, resolved through the same
+/// [`Harness::cells`] rule as a local run (repeated workload names
+/// dropped, so cell index == position).
+fn request_cells(
+    harness: &Harness,
+    scheme: &str,
+    l1pf: &str,
+    workloads: &[String],
+) -> Result<Vec<RunCell>, SessionError> {
+    let spec = harness.registry().scheme(scheme)?.clone();
+    harness.cells(&spec, l1pf, workloads)
+}
+
 fn answer_sweep(
-    session: &Session,
+    harness: &Harness,
     req: &SweepRequest,
     writer: &Mutex<TcpStream>,
     metrics: &ServeMetrics,
 ) -> Result<(), AnswerError> {
-    let scheme = session.resolve_scheme_name(&req.scheme)?;
-    let pf = session.resolve_l1pf_name(&req.l1pf)?;
-    let harness = session.harness();
-    // The request's workload set: named workloads (order-preserving
-    // dedup, so cell index == position) or the server's active catalog.
-    let workloads: Vec<Arc<dyn Workload>> = if req.workloads.is_empty() {
-        harness.active_workloads()
-    } else {
-        let mut seen = std::collections::HashSet::new();
-        let mut ws = Vec::new();
-        for name in &req.workloads {
-            if seen.insert(name.as_str()) {
-                ws.push(session.workload(name)?);
-            }
-        }
-        ws
-    };
-    let cells: Vec<_> = workloads
-        .iter()
-        .map(|w| harness.cell_single_spec(w, Arc::clone(&scheme), Arc::clone(&pf), None))
-        .collect();
-    let names: Vec<String> = workloads.iter().map(|w| w.name().to_owned()).collect();
+    let cells = request_cells(harness, &req.scheme, &req.l1pf, &req.workloads)?;
     // Stream each cell the moment its report exists — a cache hit
     // answers immediately, a coalesced cell as soon as the other
     // client's leader publishes. A send failure can't abort the batch
     // (other connections may be coalesced on these flights), so it is
     // recorded and surfaced after the run.
     let send_failure: Mutex<Option<std::io::Error>> = Mutex::new(None);
-    harness.run_cells_streaming(cells, |i, cell, report| {
+    harness.run_streaming(&cells, |i, cell, report| {
         let frame = CellFrame {
             index: i as u64,
-            workload: names[i].clone(),
+            workload: cell.workloads()[0].name().to_owned(),
             label: cell.label().to_owned(),
             report: (**report).clone(),
         };
@@ -367,37 +358,23 @@ fn answer_sweep(
     }
     let summary = SummaryFrame {
         engine: harness.rc.engine.to_string(),
-        cells: names.len() as u64,
-        stats: session.engine_stats(),
+        cells: cells.len() as u64,
+        stats: harness.engine_stats(),
     };
     let mut w = writer.lock();
     write_frame(&mut *w, FrameKind::Summary, &summary.encode()).map_err(AnswerError::Io)
 }
 
-/// Captures timelines for a telemetry query through the shared session's
+/// Captures timelines for a telemetry query through the shared harness's
 /// blob cache and answers with one TIMELINE frame. Captures are
 /// deterministic, so concurrent identical queries cost at most wasted
 /// work, never divergent replies.
 fn answer_timeline(
-    session: &Session,
+    harness: &Harness,
     query: &TimelineQuery,
     writer: &Mutex<TcpStream>,
 ) -> Result<(), AnswerError> {
-    let scheme = session.resolve_scheme_name(&query.scheme)?;
-    let pf = session.resolve_l1pf_name(&query.l1pf)?;
-    let harness = session.harness();
-    let workloads: Vec<Arc<dyn Workload>> = if query.workloads.is_empty() {
-        harness.active_workloads()
-    } else {
-        let mut seen = std::collections::HashSet::new();
-        let mut ws = Vec::new();
-        for name in &query.workloads {
-            if seen.insert(name.as_str()) {
-                ws.push(session.workload(name)?);
-            }
-        }
-        ws
-    };
+    let cells = request_cells(harness, &query.scheme, &query.l1pf, &query.workloads)?;
     let mut tcfg = tlp_sim::TimelineConfig::default();
     if query.window_cycles > 0 {
         tcfg.window_cycles = query.window_cycles;
@@ -405,12 +382,10 @@ fn answer_timeline(
     if query.journey_every > 0 {
         tcfg.journey_every = query.journey_every;
     }
-    let runs = workloads
-        .iter()
-        .map(|w| {
-            let t = harness.timeline_single_spec(w, Arc::clone(&scheme), Arc::clone(&pf), tcfg);
-            (w.name().to_owned(), (*t).clone())
-        })
+    let runs = harness
+        .timelines(&cells, tcfg)
+        .into_iter()
+        .map(|r| (r.workload, (*r.timeline).clone()))
         .collect();
     let reply = TimelineReply {
         scheme: query.scheme.clone(),

@@ -5,13 +5,13 @@
 
 use std::sync::Barrier;
 
-use tlp_harness::{scheme_result, RunConfig, Session};
-use tlp_serve::{Client, ServeError, Server, SweepRequest};
+use tlp_harness::{Harness, RunConfig};
+use tlp_serve::{scheme_result, Client, ServeError, Server, SweepRequest};
 
 fn test_server() -> (tlp_serve::ServerHandle, std::net::SocketAddr) {
     let mut rc = RunConfig::test();
     rc.threads = 2;
-    let server = Server::bind("127.0.0.1:0", Session::new(rc)).expect("bind an ephemeral port");
+    let server = Server::bind("127.0.0.1:0", Harness::new(rc)).expect("bind an ephemeral port");
     let addr = server.local_addr().expect("bound address");
     (server.spawn().expect("spawn service"), addr)
 }

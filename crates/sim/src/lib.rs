@@ -28,6 +28,8 @@
 //! assert!(report.ipc() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod config;
 pub mod core;

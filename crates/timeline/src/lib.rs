@@ -17,6 +17,8 @@
 //! hot-path push is capacity-guarded, preserving the engine's zero-steady-
 //! state-allocation invariant (`tests/zero_alloc.rs`).
 
+#![forbid(unsafe_code)]
+
 /// Sentinel journey id meaning "this request is not sampled".
 pub const JOURNEY_NONE: u32 = u32::MAX;
 

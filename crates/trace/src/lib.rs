@@ -30,6 +30,8 @@
 //! assert!(records.iter().any(|r| r.op.is_load()));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod emit;
 pub mod gap;

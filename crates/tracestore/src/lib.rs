@@ -28,6 +28,8 @@
 //!   region reports blend into a full-run estimate generically over the
 //!   `tlp_sim::serial` value tree.
 
+#![forbid(unsafe_code)]
+
 pub mod champsim;
 pub mod reconstitute;
 pub mod store;

@@ -7,7 +7,7 @@
 //! ```
 
 use tlp::harness::mix::generate_mixes;
-use tlp::harness::{Harness, L1Pf, RunConfig, Scheme};
+use tlp::harness::{Harness, L1Pf, Machine, RunConfig, Scheme};
 
 fn main() {
     let rc = RunConfig::quick();
@@ -30,16 +30,26 @@ fn main() {
         "{:>10} {:>14} {:>14} {:>14}",
         "GB/s/core", "Baseline IPC", "Hermes IPC", "TLP IPC"
     );
-    for bw in [1.6, 3.2, 6.4, 12.8, 25.6] {
-        let sum_ipc = |scheme: Scheme| -> f64 {
-            let r = h.run_mix(&mix.workloads, scheme, L1Pf::Ipcp, Some(bw));
-            r.cores.iter().map(|c| c.core.ipc()).sum()
-        };
+    // The whole (bandwidth × scheme) grid as one batch.
+    let bandwidths = [1.6, 3.2, 6.4, 12.8, 25.6];
+    let schemes = [Scheme::Baseline, Scheme::Hermes, Scheme::Tlp];
+    let cells: Vec<_> = bandwidths
+        .iter()
+        .flat_map(|&bw| {
+            schemes.map(|s| {
+                let machine = Machine::CascadeLake(Some(bw));
+                h.cell(&mix.workloads, s.resolve(), L1Pf::Ipcp.resolve(), machine)
+            })
+        })
+        .collect();
+    let reports = h.run(&cells);
+    let sum_ipc = |r: &tlp::sim::SimReport| -> f64 { r.cores.iter().map(|c| c.core.ipc()).sum() };
+    for (bw, r) in bandwidths.iter().zip(reports.chunks(schemes.len())) {
         println!(
             "{bw:>10} {:>14.3} {:>14.3} {:>14.3}",
-            sum_ipc(Scheme::Baseline),
-            sum_ipc(Scheme::Hermes),
-            sum_ipc(Scheme::Tlp),
+            sum_ipc(&r[0]),
+            sum_ipc(&r[1]),
+            sum_ipc(&r[2]),
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Extending the simulator through the composition API: register a
 //! custom L1D prefetcher with the plugin registry, compose it into a
 //! scheme with a [`SchemeSpec`], and race it against IPCP through a
-//! [`Session`] — no harness code is edited anywhere.
+//! [`Harness`] — no harness code is edited anywhere.
 //!
 //! ```text
 //! cargo run --release --example custom_prefetcher
@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use tlp::harness::{RunConfig, Session};
+use tlp::harness::{Harness, RunConfig};
 use tlp::plugin::{ComponentRef, SchemeSpec};
 use tlp::sim::hooks::{DemandAccess, L1Prefetcher, PrefetchCandidate};
 use tlp::sim::types::LINE_SIZE;
@@ -44,13 +44,13 @@ impl L1Prefetcher for Sandwich {
 }
 
 fn main() {
-    // 1. A session: a private clone of the built-in registry plus the
-    //    shared result cache and worker pool.
-    let mut session = Session::new(RunConfig::quick());
+    // 1. A harness: a private clone of the built-in registry plus the
+    //    result cache and worker pool.
+    let mut h = Harness::new(RunConfig::quick());
 
     // 2. Register the custom component. It lands in the collision-checked
     //    `custom:` namespace, so it can never alias a built-in cache key.
-    let sandwich = session
+    let sandwich = h
         .registry_mut()
         .register_custom_l1_prefetcher(
             "sandwich",
@@ -75,23 +75,25 @@ fn main() {
 
     // Registering the composition by name also makes it addressable the
     // way `tlp_repro --scheme <name>` addresses schemes.
-    session
-        .registry_mut()
+    h.registry_mut()
         .register_custom_scheme(with_sandwich.clone())
         .expect("fresh scheme name");
 
-    // 4. Run both through the session (planned, deduplicated, cached).
+    // 4. Describe both sweeps as cells and run them as one batch
+    //    (deduplicated, cached, sharded over the worker pool).
+    let workloads = ["spec.milc_06", "bfs.web", "pr.kron"].map(String::from);
+    let mut cells = h.cells(&with_ipcp, "none", &workloads).expect("ipcp cells");
+    cells.extend(
+        h.cells(&with_sandwich, "none", &workloads)
+            .expect("sandwich cells"),
+    );
+    let reports = h.run(&cells);
+    let (ipcp, sandwich) = reports.split_at(workloads.len());
     println!(
         "{:<14} {:>10} {:>14} {:>10} {:>14}",
         "workload", "ipcp IPC", "sandwich IPC", "ipcp DRAM", "sandwich DRAM"
     );
-    for workload in ["spec.milc_06", "bfs.web", "pr.kron"] {
-        let a = session
-            .run_single(workload, &with_ipcp, "none")
-            .expect("ipcp run");
-        let b = session
-            .run_single(workload, &with_sandwich, "none")
-            .expect("sandwich run");
+    for ((workload, a), b) in workloads.iter().zip(ipcp).zip(sandwich) {
         println!(
             "{workload:<14} {:>10.3} {:>14.3} {:>10} {:>14}",
             a.ipc(),
@@ -100,5 +102,5 @@ fn main() {
             b.dram_transactions()
         );
     }
-    eprintln!("# run-engine: {}", session.engine_stats().summary_line());
+    eprintln!("# run-engine: {}", h.engine_stats().summary_line());
 }

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use tlp::harness::{Harness, L1Pf, RunConfig, Scheme};
+use tlp::harness::{Harness, L1Pf, Machine, RunConfig, Scheme};
 use tlp::trace::emit::Workload;
 use tlp::trace::gap::{GapWorkload, Graph, GraphKind, GraphScale, Kernel};
 
@@ -32,11 +32,24 @@ fn main() {
         "{:<14} {:>10} {:>10} {:>12} {:>12} {:>10}",
         "kernel", "base IPC", "TLP IPC", "base DRAM", "TLP DRAM", "ΔDRAM %"
     );
+    // One (Baseline, TLP) cell pair per kernel, run as one batch.
+    let mut cells = Vec::new();
     for kernel in Kernel::ALL {
         let w: Arc<dyn Workload> =
             Arc::new(GapWorkload::with_graph(kernel, kind, Arc::clone(&graph)));
-        let base = h.run_single(&w, Scheme::Baseline, L1Pf::Ipcp);
-        let tlp = h.run_single(&w, Scheme::Tlp, L1Pf::Ipcp);
+        for scheme in [Scheme::Baseline, Scheme::Tlp] {
+            let ws = std::slice::from_ref(&w);
+            cells.push(h.cell(
+                ws,
+                scheme.resolve(),
+                L1Pf::Ipcp.resolve(),
+                Machine::CascadeLake(None),
+            ));
+        }
+    }
+    let reports = h.run(&cells);
+    for (pair, runs) in cells.chunks(2).zip(reports.chunks(2)) {
+        let (w, base, tlp) = (&pair[0].workloads()[0], &runs[0], &runs[1]);
         let delta =
             (tlp.dram_transactions() as f64 / base.dram_transactions().max(1) as f64 - 1.0) * 100.0;
         println!(

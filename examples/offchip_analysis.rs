@@ -7,7 +7,7 @@
 //! cargo run --release --example offchip_analysis [workload]
 //! ```
 
-use tlp::harness::{Harness, L1Pf, RunConfig, Scheme};
+use tlp::harness::{Harness, L1Pf, Machine, RunConfig, Scheme};
 use tlp::sim::types::Level;
 use tlp::trace::catalog;
 
@@ -21,7 +21,21 @@ fn main() {
         std::process::exit(1);
     };
 
-    let base = h.run_single(&w, Scheme::Baseline, L1Pf::Ipcp);
+    let schemes = [Scheme::Hermes, Scheme::Lp, Scheme::Tlp];
+    let cells: Vec<_> = std::iter::once(Scheme::Baseline)
+        .chain(schemes)
+        .map(|s| {
+            let ws = std::slice::from_ref(&w);
+            h.cell(
+                ws,
+                s.resolve(),
+                L1Pf::Ipcp.resolve(),
+                Machine::CascadeLake(None),
+            )
+        })
+        .collect();
+    let reports = h.run(&cells);
+    let base = &reports[0];
     println!(
         "workload {name}: baseline IPC {:.3}, {} DRAM transactions\n",
         base.ipc(),
@@ -31,8 +45,7 @@ fn main() {
         "{:<10} {:>8} {:>8} {:>8} {:>8} {:>10} {:>10} {:>9} {:>8}",
         "scheme", "→L1D", "→L2C", "→LLC", "→DRAM", "precision", "coverage", "ΔDRAM%", "speedup%"
     );
-    for scheme in [Scheme::Hermes, Scheme::Lp, Scheme::Tlp] {
-        let r = h.run_single(&w, scheme, L1Pf::Ipcp);
+    for (scheme, r) in schemes.iter().zip(&reports[1..]) {
         let oc = &r.cores[0].offchip;
         let issued: u64 = oc.issued_outcome.iter().sum();
         let pct = |l: Level| {

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart [workload] [instructions]
 //! ```
 
-use tlp::harness::{Harness, L1Pf, RunConfig, Scheme};
+use tlp::harness::{Harness, L1Pf, Machine, RunConfig, Scheme};
 use tlp::sim::types::Level;
 use tlp::trace::catalog;
 
@@ -31,8 +31,20 @@ fn main() {
         "workload {name}: {} instructions after {} warmup\n",
         rc.instructions, rc.warmup
     );
-    for scheme in [Scheme::Baseline, Scheme::Hermes, Scheme::Tlp] {
-        let r = h.run_single(&w, scheme, L1Pf::Ipcp);
+    let schemes = [Scheme::Baseline, Scheme::Hermes, Scheme::Tlp];
+    let cells: Vec<_> = schemes
+        .iter()
+        .map(|s| {
+            let ws = std::slice::from_ref(&w);
+            h.cell(
+                ws,
+                s.resolve(),
+                L1Pf::Ipcp.resolve(),
+                Machine::CascadeLake(None),
+            )
+        })
+        .collect();
+    for (scheme, r) in schemes.iter().zip(h.run(&cells)) {
         let c = &r.cores[0];
         let instr = c.core.instructions;
         println!("== {}", scheme.name());

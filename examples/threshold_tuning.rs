@@ -6,25 +6,21 @@
 //! cargo run --release --example threshold_tuning [workload]
 //! ```
 
-use tlp::harness::{Harness, L1Pf, RunConfig, Scheme, TlpParams};
+use tlp::harness::{Harness, L1Pf, Machine, RunConfig, Scheme, TlpParams};
+use tlp::sim::SimReport;
 use tlp::trace::catalog;
 
-fn sweep(
-    h: &Harness,
-    w: &std::sync::Arc<dyn tlp::trace::emit::Workload>,
-    knob: &str,
-    points: &[i32],
-    make: impl Fn(i32) -> TlpParams,
-    base_ipc: f64,
-    base_txn: f64,
-) {
+/// One knob's sweep: its name, the points, and how a point sets it.
+type Knob = (&'static str, [i32; 5], fn(i32) -> TlpParams);
+
+fn print_sweep((knob, points, _): &Knob, runs: &[std::sync::Arc<SimReport>], base: &SimReport) {
+    let (base_ipc, base_txn) = (base.ipc(), base.dram_transactions() as f64);
     println!("-- {knob} sweep");
     println!(
         "{:>8} {:>10} {:>10} {:>12} {:>12}",
         knob, "speedup%", "ΔDRAM%", "spec-issued", "pf-filtered"
     );
-    for &t in points {
-        let r = h.run_single(w, Scheme::TlpCustom(make(t)), L1Pf::Ipcp);
+    for (t, r) in points.iter().zip(runs) {
         let c = &r.cores[0];
         println!(
             "{:>8} {:>9.2}% {:>9.2}% {:>12} {:>12}",
@@ -48,46 +44,42 @@ fn main() {
         std::process::exit(1);
     };
 
-    let base = h.run_single(&w, Scheme::Baseline, L1Pf::Ipcp);
-    let (base_ipc, base_txn) = (base.ipc(), base.dram_transactions() as f64);
-    println!("workload {name} (paper operating point: τ_high=14 τ_low=2 τ_pref=6)\n");
-
-    sweep(
-        &h,
-        &w,
-        "τ_high",
-        &[6, 10, 14, 18, 24],
-        |t| TlpParams {
+    let knobs: [Knob; 3] = [
+        ("τ_high", [6, 10, 14, 18, 24], |t| TlpParams {
             tau_high: t,
             ..TlpParams::paper()
-        },
-        base_ipc,
-        base_txn,
-    );
-    sweep(
-        &h,
-        &w,
-        "τ_low",
-        &[-2, 0, 2, 6, 10],
-        |t| TlpParams {
+        }),
+        ("τ_low", [-2, 0, 2, 6, 10], |t| TlpParams {
             tau_low: t,
             ..TlpParams::paper()
-        },
-        base_ipc,
-        base_txn,
-    );
-    sweep(
-        &h,
-        &w,
-        "τ_pref",
-        &[0, 3, 6, 12, 24],
-        |t| TlpParams {
+        }),
+        ("τ_pref", [0, 3, 6, 12, 24], |t| TlpParams {
             tau_pref: t,
             ..TlpParams::paper()
-        },
-        base_ipc,
-        base_txn,
+        }),
+    ];
+    // The baseline plus every sweep point, as one batch.
+    let schemes = std::iter::once(Scheme::Baseline).chain(
+        knobs
+            .iter()
+            .flat_map(|(_, points, make)| points.map(|t| Scheme::TlpCustom(make(t)))),
     );
+    let cells: Vec<_> = schemes
+        .map(|s| {
+            let ws = std::slice::from_ref(&w);
+            h.cell(
+                ws,
+                s.resolve(),
+                L1Pf::Ipcp.resolve(),
+                Machine::CascadeLake(None),
+            )
+        })
+        .collect();
+    let reports = h.run(&cells);
+    println!("workload {name} (paper operating point: τ_high=14 τ_low=2 τ_pref=6)\n");
+    for (knob, runs) in knobs.iter().zip(reports[1..].chunks(5)) {
+        print_sweep(knob, runs, &reports[0]);
+    }
 
     println!(
         "Reading the curves: raising τ_high trades latency hiding for DRAM\n\

@@ -4,6 +4,8 @@
 //! per iteration (no statistical analysis, plots, or baselines).
 //! See `shims/README.md`.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// Declared per-iteration work, used to print throughput.

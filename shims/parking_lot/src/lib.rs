@@ -1,6 +1,8 @@
 //! Offline shim for `parking_lot`: non-poisoning `RwLock`/`Mutex` wrappers
 //! over `std::sync`. See `shims/README.md`.
 
+#![forbid(unsafe_code)]
+
 /// A reader-writer lock whose guards never expose poisoning: a panic while
 /// holding the lock simply lets the next holder proceed, matching
 /// parking_lot semantics.

@@ -7,6 +7,8 @@
 //! seeds: each test draws its cases from a generator seeded from the test
 //! name, so runs are fully deterministic. See `shims/README.md`.
 
+#![forbid(unsafe_code)]
+
 use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};
 

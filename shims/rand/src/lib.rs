@@ -4,6 +4,8 @@
 //! ChaCha-based `StdRng`, but the workspace only relies on seeded
 //! determinism. See `shims/README.md`.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Raw random-word source.

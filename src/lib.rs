@@ -3,6 +3,8 @@
 //! Re-exports the workspace crates under short names. See the README for a
 //! tour and `examples/` for runnable entry points.
 
+#![forbid(unsafe_code)]
+
 pub use tlp_baselines as baselines;
 pub use tlp_core as core;
 pub use tlp_harness as harness;

@@ -5,9 +5,12 @@
 //! this property.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use tlp::harness::experiments::{ext07_rl, fig01, fig03};
-use tlp::harness::{EngineMode, Harness, L1Pf, RunConfig, Scheme};
+use tlp::harness::{weighted_ipc, EngineMode, Harness, L1Pf, Machine, RunCell, RunConfig, Scheme};
+use tlp::sim::SimReport;
+use tlp::trace::emit::Workload;
 
 /// Small but non-trivial budget: one workload per suite, four 4-core
 /// mixes, enough instructions to exercise prefetchers and the off-chip
@@ -31,36 +34,41 @@ fn tmp_cache_dir(tag: &str) -> PathBuf {
 
 const SCHEMES: [Scheme; 3] = [Scheme::Baseline, Scheme::Tlp, Scheme::AthenaRl];
 
+/// A single-core cell on the default machine at an optional per-core
+/// bandwidth.
+fn single(h: &Harness, w: &Arc<dyn Workload>, s: Scheme, p: L1Pf, gbps: Option<f64>) -> RunCell {
+    h.cell(
+        std::slice::from_ref(w),
+        s.resolve(),
+        p.resolve(),
+        Machine::CascadeLake(gbps),
+    )
+}
+
+/// Every active workload under each (scheme, prefetcher) pair, as one
+/// batch.
+fn grid(h: &Harness, pairs: &[(Scheme, L1Pf)]) -> Vec<Arc<SimReport>> {
+    let cells: Vec<_> = h
+        .active_workloads()
+        .iter()
+        .flat_map(|w| pairs.iter().map(|&(s, p)| single(h, w, s, p, None)))
+        .collect();
+    h.run(&cells)
+}
+
 #[test]
 fn single_cell_reports_are_field_identical_across_thread_counts() {
     let h1 = Harness::new(rc_with_threads(1));
     let h8 = Harness::new(rc_with_threads(8));
-    // Simulate the whole grid through each engine first — sequentially on
-    // h1, on the 8-worker pool on h8 — so the comparison below actually
-    // pits the pooled execution against the serial one.
-    for h in [&h1, &h8] {
-        let cells = h
-            .active_workloads()
-            .iter()
-            .flat_map(|w| SCHEMES.map(|s| h.cell_single(w, s, L1Pf::Ipcp, None)))
-            .collect();
-        h.run_cells(cells);
+    // The whole grid through each engine — sequentially on h1, on the
+    // 8-worker pool on h8 — so the comparison pits the pooled execution
+    // against the serial one.
+    let pairs = SCHEMES.map(|s| (s, L1Pf::Ipcp));
+    let (a, b) = (grid(&h1, &pairs), grid(&h8, &pairs));
+    assert_eq!(a.len(), h1.active_workloads().len() * SCHEMES.len());
+    for (i, (a, b)) in a.iter().zip(&b).enumerate() {
+        assert_eq!(a, b, "cell {i} of the grid differs by thread count");
     }
-    for w in h1.active_workloads() {
-        let w8 = h8
-            .active_workloads()
-            .into_iter()
-            .find(|x| x.name() == w.name())
-            .expect("same catalog at both thread counts");
-        for scheme in SCHEMES {
-            let a = h1.run_single(&w, scheme, L1Pf::Ipcp);
-            let b = h8.run_single(&w8, scheme, L1Pf::Ipcp);
-            assert_eq!(a, b, "{} / {scheme:?} differs by thread count", w.name());
-        }
-    }
-    // Collection never simulated inline: the batches covered the grid.
-    assert_eq!(h1.engine_stats().inline_simulated, 0);
-    assert_eq!(h8.engine_stats().inline_simulated, 0);
 }
 
 #[test]
@@ -76,11 +84,21 @@ fn experiment_tables_are_identical_across_thread_counts() {
         .into_iter()
         .next()
         .expect("at least one mix");
-    let r1 = h1.run_mix(&mix.workloads, Scheme::Tlp, L1Pf::Ipcp, None);
-    let r8 = h8.run_mix(&mix.workloads, Scheme::Tlp, L1Pf::Ipcp, None);
+    // The mix cell and its four isolation cells, as one batch.
+    let mix_run = |h: &Harness| {
+        let (s, p) = (Scheme::Tlp.resolve(), L1Pf::Ipcp.resolve());
+        let mut cells = vec![h.cell(&mix.workloads, s, p, Machine::CascadeLake(None))];
+        for w in &mix.workloads {
+            cells.push(single(h, w, Scheme::Tlp, L1Pf::Ipcp, Some(12.8)));
+        }
+        let reports = h.run(&cells);
+        (
+            Arc::clone(&reports[0]),
+            weighted_ipc(&reports[0], &reports[1..]),
+        )
+    };
+    let ((r1, w1), (r8, w8)) = (mix_run(&h1), mix_run(&h8));
     assert_eq!(r1, r8, "mix report differs by thread count");
-    let w1 = h1.weighted_ipc(&mix.workloads, &r1, Scheme::Tlp, L1Pf::Ipcp, 12.8);
-    let w8 = h8.weighted_ipc(&mix.workloads, &r8, Scheme::Tlp, L1Pf::Ipcp, 12.8);
     assert!(
         (w1 - w8).abs() == 0.0,
         "weighted IPC differs by thread count: {w1} vs {w8}"
@@ -123,8 +141,8 @@ fn warm_disk_cache_reproduces_cold_results_without_simulating() {
     // back from disk equals the one simulated in-process.
     let w = cold.active_workloads()[0].clone();
     assert_eq!(
-        cold.run_single(&w, Scheme::Tlp, L1Pf::Ipcp),
-        warm.run_single(&w, Scheme::Tlp, L1Pf::Ipcp),
+        cold.run(&[single(&cold, &w, Scheme::Tlp, L1Pf::Ipcp, None)]),
+        warm.run(&[single(&warm, &w, Scheme::Tlp, L1Pf::Ipcp, None)]),
     );
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -176,34 +194,16 @@ fn event_engine_cells_are_bit_identical_to_cycle_engine() {
         })
         .collect();
 
-    for h in [&cyc, &evt] {
-        let cells = sample
+    let run_sample = |h: &Harness| {
+        let cells: Vec<_> = sample
             .iter()
-            .map(|&(w, s, p, b)| {
-                h.cell_single(
-                    &h.workloads()[w].clone(),
-                    schemes[s],
-                    l1pfs[p],
-                    bandwidths[b],
-                )
-            })
+            .map(|&(w, s, p, b)| single(h, &h.workloads()[w], schemes[s], l1pfs[p], bandwidths[b]))
             .collect();
-        h.run_cells(cells);
-    }
-    for &(w, s, p, b) in &sample {
-        let wl_c = workloads[w].clone();
-        let wl_e = evt.workloads()[w].clone();
-        let a = cyc.run_single_with_bandwidth(&wl_c, schemes[s], l1pfs[p], bandwidths[b]);
-        let bb = evt.run_single_with_bandwidth(&wl_e, schemes[s], l1pfs[p], bandwidths[b]);
-        assert_eq!(
-            a,
-            bb,
-            "cell {} / {:?} / {:?} / {:?} differs between engines",
-            wl_c.name(),
-            schemes[s],
-            l1pfs[p],
-            bandwidths[b]
-        );
+        (h.run(&cells), cells)
+    };
+    let ((a, cells), (b, _)) = (run_sample(&cyc), run_sample(&evt));
+    for ((a, b), cell) in a.iter().zip(&b).zip(&cells) {
+        assert_eq!(a, b, "cell {} differs between engines", cell.label());
     }
 
     // A 4-core mix: shared LLC/DRAM contention across cores.
@@ -215,9 +215,15 @@ fn event_engine_cells_are_bit_identical_to_cycle_engine() {
         .into_iter()
         .next()
         .expect("same mix catalog");
-    let a = cyc.run_mix(&mix.workloads, Scheme::Tlp, L1Pf::Ipcp, None);
-    let b = evt.run_mix(&mix_e.workloads, Scheme::Tlp, L1Pf::Ipcp, None);
-    assert_eq!(a, b, "mix report differs between engines");
+    let run_mix = |h: &Harness, ws| {
+        let (s, p) = (Scheme::Tlp.resolve(), L1Pf::Ipcp.resolve());
+        h.run(&[h.cell(ws, s, p, Machine::CascadeLake(None))])
+    };
+    assert_eq!(
+        run_mix(&cyc, &mix.workloads),
+        run_mix(&evt, &mix_e.workloads),
+        "mix report differs between engines"
+    );
 }
 
 /// Engine mode is not part of the content address: a disk cache written
@@ -261,12 +267,7 @@ fn streamed_trace_replay_is_bit_identical_to_in_memory_capture() {
     let cold = Harness::new(rc_with_threads(4))
         .with_trace_dir(&dir)
         .expect("trace dir");
-    let cells = cold
-        .active_workloads()
-        .iter()
-        .flat_map(|w| pairs.map(|(s, p)| cold.cell_single(w, s, p, None)))
-        .collect();
-    cold.run_cells(cells);
+    let _ = grid(&cold, &pairs);
     assert!(
         cold.trace_stats().captures > 0,
         "cold pass must capture traces"
@@ -280,30 +281,11 @@ fn streamed_trace_replay_is_bit_identical_to_in_memory_capture() {
             let mem = Harness::new(rc);
             // Warm store in a fresh harness: every trace streams from disk.
             let warm = Harness::new(rc).with_trace_dir(&dir).expect("trace dir");
-            for h in [&mem, &warm] {
-                let cells = h
-                    .active_workloads()
-                    .iter()
-                    .flat_map(|w| pairs.map(|(s, p)| h.cell_single(w, s, p, None)))
-                    .collect();
-                h.run_cells(cells);
-            }
-            for w in mem.active_workloads() {
-                let ww = warm
-                    .active_workloads()
-                    .into_iter()
-                    .find(|x| x.name() == w.name())
-                    .expect("same catalog with and without a store");
-                for (s, p) in pairs {
-                    assert_eq!(
-                        mem.run_single(&w, s, p),
-                        warm.run_single(&ww, s, p),
-                        "{} / {s:?} differs between captured and streamed replay \
-                         ({engine:?}, {threads} threads)",
-                        w.name()
-                    );
-                }
-            }
+            assert_eq!(
+                grid(&mem, &pairs),
+                grid(&warm, &pairs),
+                "captured and streamed replay differ ({engine:?}, {threads} threads)"
+            );
             let ts = warm.trace_stats();
             assert_eq!(
                 ts.captures, 0,
@@ -326,11 +308,6 @@ fn in_memory_rerun_of_an_experiment_is_simulation_free() {
         h.engine_stats().simulated,
         after_first,
         "second in-process run must be pure cache hits"
-    );
-    assert_eq!(
-        h.engine_stats().inline_simulated,
-        0,
-        "fig01 plans its whole grid before collecting"
     );
     assert_eq!(first.render(), second.render());
 }

@@ -1,19 +1,47 @@
 //! Integration tests spanning the whole workspace: trace generators feed
 //! the simulator through every scheme's plugin assembly.
 
-use tlp::harness::{Harness, L1Pf, RunConfig, Scheme};
+use std::sync::Arc;
+
+use tlp::harness::{Harness, L1Pf, Machine, RunConfig, Scheme};
+use tlp::sim::SimReport;
 use tlp::trace::catalog::{self, Scale};
+use tlp::trace::emit::Workload;
 
 fn harness() -> Harness {
     Harness::new(RunConfig::test())
 }
 
+fn workload(name: &str) -> Arc<dyn Workload> {
+    catalog::workload(name, Scale::Tiny).expect("catalog name")
+}
+
+/// Runs each workload under each scheme with `l1pf`, as one batch;
+/// reports in (workload, scheme) order.
+fn run(
+    h: &Harness,
+    ws: &[Arc<dyn Workload>],
+    schemes: &[Scheme],
+    l1pf: L1Pf,
+) -> Vec<Arc<SimReport>> {
+    let cells: Vec<_> = ws
+        .iter()
+        .flat_map(|w| {
+            schemes.iter().map(|s| {
+                let w = std::slice::from_ref(w);
+                h.cell(w, s.resolve(), l1pf.resolve(), Machine::CascadeLake(None))
+            })
+        })
+        .collect();
+    h.run(&cells)
+}
+
 #[test]
 fn baseline_runs_every_suite() {
     let h = harness();
-    for name in ["spec.mcf_06", "spec.lbm_17", "bfs.kron", "pr.urand"] {
-        let w = catalog::workload(name, Scale::Tiny).expect("catalog name");
-        let r = h.run_single(&w, Scheme::Baseline, L1Pf::Ipcp);
+    let names = ["spec.mcf_06", "spec.lbm_17", "bfs.kron", "pr.urand"];
+    let reports = run(&h, &names.map(workload), &[Scheme::Baseline], L1Pf::Ipcp);
+    for (name, r) in names.iter().zip(reports) {
         // Retirement is 4-wide, so the measured window may overshoot by up
         // to three instructions.
         let retired = r.cores[0].core.instructions;
@@ -34,10 +62,16 @@ fn baseline_runs_every_suite() {
 #[test]
 fn every_scheme_completes_on_a_graph_workload() {
     let h = harness();
-    let w = catalog::workload("sssp.twitter", Scale::Tiny).expect("catalog name");
-    let base = h.run_single(&w, Scheme::Baseline, L1Pf::Ipcp);
-    for scheme in [Scheme::Ppf, Scheme::Hermes, Scheme::HermesPpf, Scheme::Tlp] {
-        let r = h.run_single(&w, scheme, L1Pf::Ipcp);
+    let schemes = [
+        Scheme::Baseline,
+        Scheme::Ppf,
+        Scheme::Hermes,
+        Scheme::HermesPpf,
+        Scheme::Tlp,
+    ];
+    let reports = run(&h, &[workload("sssp.twitter")], &schemes, L1Pf::Ipcp);
+    let base = &reports[0];
+    for (scheme, r) in schemes.iter().zip(&reports).skip(1) {
         assert_eq!(
             r.cores[0].core.instructions,
             base.cores[0].core.instructions
@@ -54,9 +88,13 @@ fn every_scheme_completes_on_a_graph_workload() {
 #[test]
 fn simulation_is_deterministic_end_to_end() {
     let run = || {
-        let h = harness();
-        let w = catalog::workload("cc.kron", Scale::Tiny).expect("catalog name");
-        let r = h.run_single(&w, Scheme::Tlp, L1Pf::Ipcp);
+        let r = run(
+            &harness(),
+            &[workload("cc.kron")],
+            &[Scheme::Tlp],
+            L1Pf::Ipcp,
+        )
+        .remove(0);
         (
             r.total_cycles,
             r.dram_transactions(),
@@ -70,10 +108,9 @@ fn simulation_is_deterministic_end_to_end() {
 
 #[test]
 fn hermes_issues_speculative_reads_tlp_delays_some() {
-    let h = harness();
-    let w = catalog::workload("spec.omnetpp_17", Scale::Tiny).expect("catalog name");
-    let hermes = h.run_single(&w, Scheme::Hermes, L1Pf::Ipcp);
-    let tlp = h.run_single(&w, Scheme::Tlp, L1Pf::Ipcp);
+    let w = workload("spec.omnetpp_17");
+    let reports = run(&harness(), &[w], &[Scheme::Hermes, Scheme::Tlp], L1Pf::Ipcp);
+    let (hermes, tlp) = (&reports[0], &reports[1]);
     // Hermes must actually exercise the speculative path.
     let hermes_off = &hermes.cores[0].offchip;
     assert!(hermes_off.issued_now > 0, "Hermes never predicted off-chip");
@@ -94,10 +131,14 @@ fn hermes_issues_speculative_reads_tlp_delays_some() {
 
 #[test]
 fn tlp_filter_engages_and_raises_accuracy() {
-    let h = Harness::new(RunConfig::test());
-    let w = catalog::workload("bfs.kron", Scale::Tiny).expect("catalog name");
-    let base = h.run_single(&w, Scheme::Baseline, L1Pf::Ipcp);
-    let tlp = h.run_single(&w, Scheme::Tlp, L1Pf::Ipcp);
+    let w = workload("bfs.kron");
+    let reports = run(
+        &harness(),
+        &[w],
+        &[Scheme::Baseline, Scheme::Tlp],
+        L1Pf::Ipcp,
+    );
+    let (base, tlp) = (&reports[0], &reports[1]);
     let bpf = &base.cores[0].l1_prefetch;
     let tpf = &tlp.cores[0].l1_prefetch;
     assert_eq!(bpf.filtered, 0, "baseline has no filter");
@@ -112,11 +153,10 @@ fn tlp_filter_engages_and_raises_accuracy() {
 
 #[test]
 fn writebacks_flow_to_dram() {
-    let h = harness();
     // A streaming writer: its store footprint exceeds every cache level,
     // so dirty lines must cascade out of the L1D.
-    let w = catalog::workload("spec.lbm_17", Scale::Tiny).expect("catalog name");
-    let r = h.run_single(&w, Scheme::Baseline, L1Pf::None);
+    let w = workload("spec.lbm_17");
+    let r = &run(&harness(), &[w], &[Scheme::Baseline], L1Pf::None)[0];
     assert!(
         r.cores[0].l1d.writebacks > 0,
         "streaming stores must dirty lines that the L1D writes back"

@@ -2,7 +2,9 @@
 //! parameterized TLP, the LLC victim cache, non-LRU replacement, and
 //! trace-file persistence.
 
-use tlp::harness::{Harness, L1Pf, RunConfig, Scheme, TlpParams};
+use std::sync::Arc;
+
+use tlp::harness::{Harness, L1Pf, Machine, RunConfig, Scheme, TlpParams};
 use tlp::sim::engine::{CoreSetup, System};
 use tlp::sim::replacement::ReplKind;
 use tlp::sim::SystemConfig;
@@ -14,12 +16,30 @@ fn harness() -> Harness {
     Harness::new(RunConfig::test())
 }
 
+/// Runs the catalog workload `name` under each (scheme, machine) pair
+/// with IPCP, as one batch.
+fn run(h: &Harness, name: &str, cells: &[(Scheme, Machine)]) -> Vec<Arc<tlp::sim::SimReport>> {
+    let w = [catalog::workload(name, Scale::Tiny).expect("catalog name")];
+    let cells: Vec<_> = cells
+        .iter()
+        .map(|(s, m)| h.cell(&w, s.resolve(), L1Pf::Ipcp.resolve(), m.clone()))
+        .collect();
+    h.run(&cells)
+}
+
+/// [`run`] on the default machine.
+fn run_schemes(h: &Harness, name: &str, schemes: &[Scheme]) -> Vec<Arc<tlp::sim::SimReport>> {
+    let cells: Vec<_> = schemes
+        .iter()
+        .map(|&s| (s, Machine::CascadeLake(None)))
+        .collect();
+    run(h, name, &cells)
+}
+
 #[test]
 fn lp_scheme_runs_and_issues_predictions() {
-    let h = harness();
-    let w = catalog::workload("bfs.kron", Scale::Tiny).expect("catalog name");
-    let base = h.run_single(&w, Scheme::Baseline, L1Pf::Ipcp);
-    let lp = h.run_single(&w, Scheme::Lp, L1Pf::Ipcp);
+    let r = run_schemes(&harness(), "bfs.kron", &[Scheme::Baseline, Scheme::Lp]);
+    let (base, lp) = (&r[0], &r[1]);
     assert_eq!(
         lp.cores[0].core.instructions,
         base.cores[0].core.instructions
@@ -37,33 +57,28 @@ fn lp_is_less_precise_than_flp_on_prefetched_streams() {
     // LP tracks residency only through demand completions, so lines brought
     // in by the prefetchers look off-chip to it — the false-positive
     // weakness the paper's related work calls out.
-    let h = harness();
-    let w = catalog::workload("pr.kron", Scale::Tiny).expect("catalog name");
-    let lp = h.run_single(&w, Scheme::Lp, L1Pf::Ipcp);
-    let tlp = h.run_single(&w, Scheme::Tlp, L1Pf::Ipcp);
+    let r = run_schemes(&harness(), "pr.kron", &[Scheme::Lp, Scheme::Tlp]);
+    let (lp, tlp) = (&r[0], &r[1]);
     let precision = |r: &tlp::sim::SimReport| r.cores[0].offchip.issue_accuracy();
     assert!(
-        precision(&lp) <= precision(&tlp) + 0.15,
+        precision(lp) <= precision(tlp) + 0.15,
         "LP precision {:.2} should not beat TLP {:.2} materially",
-        precision(&lp),
-        precision(&tlp)
+        precision(lp),
+        precision(tlp)
     );
 }
 
 #[test]
 fn custom_params_at_paper_point_match_tlp() {
-    let h = harness();
-    let w = catalog::workload("cc.road", Scale::Tiny).expect("catalog name");
-    let tlp = h.run_single(&w, Scheme::Tlp, L1Pf::Ipcp);
-    let custom = h.run_single(&w, Scheme::TlpCustom(TlpParams::paper()), L1Pf::Ipcp);
+    let schemes = [Scheme::Tlp, Scheme::TlpCustom(TlpParams::paper())];
+    let r = run_schemes(&harness(), "cc.road", &schemes);
+    let (tlp, custom) = (&r[0], &r[1]);
     assert_eq!(tlp.total_cycles, custom.total_cycles);
     assert_eq!(tlp.dram_transactions(), custom.dram_transactions());
 }
 
 #[test]
 fn lower_tau_pref_filters_more_prefetches() {
-    let h = harness();
-    let w = catalog::workload("bfs.kron", Scale::Tiny).expect("catalog name");
     let strict = Scheme::TlpCustom(TlpParams {
         tau_pref: -4,
         ..TlpParams::paper()
@@ -72,8 +87,8 @@ fn lower_tau_pref_filters_more_prefetches() {
         tau_pref: 1_000,
         ..TlpParams::paper()
     });
-    let r_strict = h.run_single(&w, strict, L1Pf::Ipcp);
-    let r_lax = h.run_single(&w, lax, L1Pf::Ipcp);
+    let r = run_schemes(&harness(), "bfs.kron", &[strict, lax]);
+    let (r_strict, r_lax) = (&r[0], &r[1]);
     assert!(
         r_strict.cores[0].l1_prefetch.filtered > r_lax.cores[0].l1_prefetch.filtered,
         "τ_pref=-4 must drop more prefetches than τ_pref=1000 ({} vs {})",
@@ -88,8 +103,6 @@ fn lower_tau_pref_filters_more_prefetches() {
 
 #[test]
 fn raised_tau_high_shifts_issue_now_to_delayed() {
-    let h = harness();
-    let w = catalog::workload("sssp.urand", Scale::Tiny).expect("catalog name");
     let eager = Scheme::TlpCustom(TlpParams {
         tau_high: 3,
         ..TlpParams::paper()
@@ -98,8 +111,8 @@ fn raised_tau_high_shifts_issue_now_to_delayed() {
         tau_high: 1_000,
         ..TlpParams::paper()
     });
-    let r_eager = h.run_single(&w, eager, L1Pf::Ipcp);
-    let r_cautious = h.run_single(&w, cautious, L1Pf::Ipcp);
+    let r = run_schemes(&harness(), "sssp.urand", &[eager, cautious]);
+    let (r_eager, r_cautious) = (&r[0], &r[1]);
     assert_eq!(
         r_cautious.cores[0].offchip.issued_now, 0,
         "an unreachable τ_high must never issue at the core"
@@ -113,11 +126,16 @@ fn raised_tau_high_shifts_issue_now_to_delayed() {
 #[test]
 fn every_replacement_policy_completes_a_graph_workload() {
     let h = harness();
-    let w = catalog::workload("bc.web", Scale::Tiny).expect("catalog name");
-    for kind in ReplKind::ALL {
-        let mut cfg = SystemConfig::cascade_lake(1);
-        cfg.llc_repl = kind;
-        let r = h.run_single_custom(&w, Scheme::Baseline, L1Pf::Ipcp, cfg, kind.name());
+    let cells: Vec<_> = ReplKind::ALL
+        .iter()
+        .map(|kind| {
+            let mut cfg = SystemConfig::cascade_lake(1);
+            cfg.llc_repl = *kind;
+            let tag = kind.name().to_owned();
+            (Scheme::Baseline, Machine::Custom(Box::new(cfg), tag))
+        })
+        .collect();
+    for (kind, r) in ReplKind::ALL.iter().zip(run(&h, "bc.web", &cells)) {
         assert!(
             r.cores[0].core.instructions >= h.rc.instructions,
             "{} did not complete",
@@ -128,14 +146,19 @@ fn every_replacement_policy_completes_a_graph_workload() {
 
 #[test]
 fn victim_cache_stats_surface_in_reports() {
-    let h = harness();
-    let w = catalog::workload("tc.twitter", Scale::Tiny).expect("catalog name");
-    let plain = h.run_single(&w, Scheme::Baseline, L1Pf::Ipcp);
-    assert_eq!(plain.victim.insertions, 0, "disabled VC must stay silent");
     // A deliberately tiny hierarchy guarantees LLC evictions.
     let mut cfg = SystemConfig::test_tiny(1);
     cfg.victim_cache_entries = 64;
-    let vc = h.run_single_custom(&w, Scheme::Baseline, L1Pf::Ipcp, cfg, "tiny+vc64");
+    let cells = [
+        (Scheme::Baseline, Machine::CascadeLake(None)),
+        (
+            Scheme::Baseline,
+            Machine::Custom(Box::new(cfg), "tiny+vc64".to_owned()),
+        ),
+    ];
+    let r = run(&harness(), "tc.twitter", &cells);
+    let (plain, vc) = (&r[0], &r[1]);
+    assert_eq!(plain.victim.insertions, 0, "disabled VC must stay silent");
     assert!(
         vc.victim.insertions > 0,
         "an evicting LLC must feed the victim cache"
@@ -168,13 +191,16 @@ fn trace_files_replay_identically_to_captures() {
 #[test]
 fn dropping_any_single_feature_still_works() {
     let h = harness();
-    let w = catalog::workload("spec.omnetpp_17", Scale::Tiny).expect("catalog name");
-    for f in 0..5u8 {
-        let scheme = Scheme::TlpCustom(TlpParams {
+    let schemes = [0, 1, 2, 3, 4u8].map(|f| {
+        Scheme::TlpCustom(TlpParams {
             drop_feature: Some(f),
             ..TlpParams::paper()
-        });
-        let r = h.run_single(&w, scheme, L1Pf::Ipcp);
+        })
+    });
+    for (f, r) in run_schemes(&h, "spec.omnetpp_17", &schemes)
+        .iter()
+        .enumerate()
+    {
         assert!(
             r.cores[0].core.instructions >= h.rc.instructions,
             "feature {f} drop broke the run"
@@ -185,7 +211,6 @@ fn dropping_any_single_feature_still_works() {
 #[test]
 fn resized_tables_change_storage_but_not_instruction_count() {
     let h = harness();
-    let w = catalog::workload("spec.soplex_06", Scale::Tiny).expect("catalog name");
     let small = Scheme::TlpCustom(TlpParams {
         resize: (1, 4),
         ..TlpParams::paper()
@@ -194,11 +219,9 @@ fn resized_tables_change_storage_but_not_instruction_count() {
         resize: (4, 1),
         ..TlpParams::paper()
     });
-    let r_small = h.run_single(&w, small, L1Pf::Ipcp);
-    let r_big = h.run_single(&w, big, L1Pf::Ipcp);
     // Both complete the budget (4-wide retirement may overshoot by <4,
     // and differently for the two configurations).
-    for r in [&r_small, &r_big] {
+    for r in run_schemes(&h, "spec.soplex_06", &[small, big]) {
         let retired = r.cores[0].core.instructions;
         assert!(retired >= h.rc.instructions && retired < h.rc.instructions + 4);
     }

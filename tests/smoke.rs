@@ -3,7 +3,7 @@
 //! extension scheme — must run end to end on a tiny workload and produce
 //! sane IPC for every scheme.
 
-use tlp::harness::{Harness, L1Pf, RunConfig, Scheme};
+use tlp::harness::{Harness, L1Pf, Machine, RunConfig, Scheme};
 use tlp::trace::catalog::{self, Scale};
 
 #[test]
@@ -13,15 +13,23 @@ fn scheme_comparison_produces_finite_positive_ipc() {
     rc.warmup = 2_000;
     rc.instructions = 10_000;
     let h = Harness::new(rc);
-    let w = catalog::workload("bfs.kron", Scale::Tiny).expect("catalog name");
-    for scheme in [
+    let w = [catalog::workload("bfs.kron", Scale::Tiny).expect("catalog name")];
+    let schemes = [
         Scheme::Baseline,
         Scheme::Hermes,
         Scheme::Ppf,
         Scheme::Tlp,
         Scheme::AthenaRl,
-    ] {
-        let r = h.run_single(&w, scheme, L1Pf::Ipcp);
+    ];
+    let cells = schemes.map(|s| {
+        h.cell(
+            &w,
+            s.resolve(),
+            L1Pf::Ipcp.resolve(),
+            Machine::CascadeLake(None),
+        )
+    });
+    for (&scheme, r) in schemes.iter().zip(h.run(&cells)) {
         let ipc = r.ipc();
         assert!(
             ipc.is_finite() && ipc > 0.0,

@@ -10,8 +10,10 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use tlp::harness::timeline::{capture_runs, chrome_trace_value, windows_csv};
-use tlp::harness::{EngineMode, Harness, L1Pf, RunConfig, Scheme, TimelineConfig};
+use tlp::harness::timeline::{chrome_trace_value, windows_csv};
+use tlp::harness::{
+    EngineMode, Harness, L1Pf, Machine, RunCell, RunConfig, Scheme, TimelineConfig,
+};
 use tlp::sim::engine::{CoreSetup, System};
 use tlp::sim::SystemConfig;
 use tlp::trace::emit::Workload;
@@ -39,22 +41,26 @@ fn tcfg() -> TimelineConfig {
     }
 }
 
-fn pinned_workloads(h: &Harness) -> Vec<Arc<dyn Workload>> {
+/// The pinned workloads' cells under TLP/ipcp.
+fn pinned_cells(h: &Harness) -> Vec<RunCell> {
     WORKLOADS
         .iter()
         .map(|name| {
-            h.workloads()
+            let w: Arc<dyn Workload> = h
+                .workloads()
                 .iter()
                 .find(|w| w.name() == *name)
                 .unwrap_or_else(|| panic!("{name} missing from the catalog"))
-                .clone()
+                .clone();
+            let (s, p) = (Scheme::Tlp.resolve(), L1Pf::Ipcp.resolve());
+            h.cell(&[w], s, p, Machine::CascadeLake(None))
         })
         .collect()
 }
 
 /// Renders both export formats for the pinned workloads under TLP/ipcp.
 fn artifacts(h: &Harness) -> (String, String) {
-    let runs = capture_runs(h, &pinned_workloads(h), Scheme::Tlp, L1Pf::Ipcp, tcfg());
+    let runs = h.timelines(&pinned_cells(h), tcfg());
     (chrome_trace_value(&runs).render(), windows_csv(&runs))
 }
 
@@ -120,16 +126,20 @@ fn warm_blob_cache_reproduces_cold_artifacts_from_disk() {
 fn capturing_a_timeline_never_perturbs_the_report() {
     let instrumented = Harness::new(rc(1, EngineMode::Cycle));
     let plain = Harness::new(rc(1, EngineMode::Cycle));
-    let w_i = pinned_workloads(&instrumented);
-    let w_p = pinned_workloads(&plain);
-    // Capture first, then collect the report from the same harness.
-    let _ = capture_runs(&instrumented, &w_i, Scheme::Tlp, L1Pf::Ipcp, tcfg());
-    for (wi, wp) in w_i.iter().zip(&w_p) {
+    let cells = pinned_cells(&instrumented);
+    // Capture first, then run the same cells on the same harness.
+    let _ = instrumented.timelines(&cells, tcfg());
+    let reports = instrumented.run(&cells);
+    for ((cell, r), p) in cells
+        .iter()
+        .zip(&reports)
+        .zip(plain.run(&pinned_cells(&plain)))
+    {
         assert_eq!(
-            instrumented.run_single(wi, Scheme::Tlp, L1Pf::Ipcp),
-            plain.run_single(wp, Scheme::Tlp, L1Pf::Ipcp),
+            r,
+            &p,
             "{}: report differs when a timeline was captured first",
-            wi.name()
+            cell.label()
         );
     }
 }

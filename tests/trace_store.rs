@@ -5,8 +5,9 @@
 //! public `tlp` facade like a downstream user would.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
-use tlp::harness::{Harness, L1Pf, RunConfig, Scheme};
+use tlp::harness::{Harness, L1Pf, Machine, RunCell, RunConfig, Scheme};
 use tlp::trace::catalog::{single_core_set, Scale};
 use tlp::trace::emit::Suite;
 use tlp::trace::source::capture;
@@ -20,6 +21,17 @@ fn rc() -> RunConfig {
     rc.mixes_per_suite = 1;
     rc.threads = 2;
     rc
+}
+
+/// `w` under `scheme` with IPCP on the default machine.
+fn cell(h: &Harness, w: &Arc<dyn tlp::trace::emit::Workload>, scheme: Scheme) -> RunCell {
+    let w = std::slice::from_ref(w);
+    h.cell(
+        w,
+        scheme.resolve(),
+        L1Pf::Ipcp.resolve(),
+        Machine::CascadeLake(None),
+    )
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -62,13 +74,13 @@ fn warm_trace_dir_serves_a_fresh_harness_without_capturing() {
     let dir = tmp_dir("warm");
     let cold = Harness::new(rc()).with_trace_dir(&dir).expect("trace dir");
     let w = cold.active_workloads()[0].clone();
-    let cold_report = cold.run_single(&w, Scheme::Tlp, L1Pf::Ipcp);
+    let cold_report = cold.run(&[cell(&cold, &w, Scheme::Tlp)]);
     assert!(cold.trace_stats().captures > 0, "cold harness captures");
 
     let warm = Harness::new(rc()).with_trace_dir(&dir).expect("trace dir");
     let ww = warm.active_workloads()[0].clone();
     assert_eq!(ww.name(), w.name());
-    let warm_report = warm.run_single(&ww, Scheme::Tlp, L1Pf::Ipcp);
+    let warm_report = warm.run(&[cell(&warm, &ww, Scheme::Tlp)]);
     let ts = warm.trace_stats();
     assert_eq!(ts.captures, 0, "warm harness must not capture");
     assert!(ts.disk_hits > 0, "warm harness streams from the store");
@@ -87,7 +99,7 @@ fn independent_captures_are_byte_identical_including_simpoints() {
     for dir in &dirs {
         let h = Harness::new(rc()).with_trace_dir(dir).expect("trace dir");
         let w = h.active_workloads()[0].clone();
-        let _ = h.run_single(&w, Scheme::Baseline, L1Pf::Ipcp);
+        let _ = h.run(&[cell(&h, &w, Scheme::Baseline)]);
         let entries = h
             .trace_store()
             .expect("store attached")
@@ -136,8 +148,9 @@ fn simpoint_estimate_tracks_the_full_run() {
         .find(|w| w.name() == "bc.web")
         .expect("bc.web in the catalog")
         .clone();
-    let full = h.run_single(&w, Scheme::Tlp, L1Pf::Ipcp);
-    let run = h.run_simpoints(&w, Scheme::Tlp, L1Pf::Ipcp, 3);
+    let tlp = cell(&h, &w, Scheme::Tlp);
+    let full = h.run(std::slice::from_ref(&tlp)).remove(0);
+    let run = h.simpoints(&tlp, 3);
     assert!(run.regions.len() > 1, "multi-region estimate");
     assert_eq!(run.region_reports.len(), run.regions.len());
     let rel = (run.estimate.ipc() - full.ipc()).abs() / full.ipc();
