@@ -869,10 +869,12 @@ mod tests {
         let entry = disk.dir().join(format!("{}.json", key.hex()));
         let cache = ResultCache::with_disk(disk);
         let json = serial::report_to_json(&report(1));
-        let garbage: [&[u8]; 3] = [
+        let deep = "[".repeat(100_000);
+        let garbage: [&[u8]; 4] = [
             b"not json",
             &[0xff, 0xfe, 0x00, 0x80],
             &json.as_bytes()[..json.len() / 2],
+            deep.as_bytes(),
         ];
         for (i, bytes) in garbage.into_iter().enumerate() {
             std::fs::write(&entry, bytes).expect("write garbage");
@@ -882,13 +884,13 @@ mod tests {
         }
         // The next lookup is a clean miss, not another corruption.
         assert!(cache.lookup(key).is_none());
-        assert_eq!(cache.stats().corrupt, 3);
+        assert_eq!(cache.stats().corrupt, 4);
         // An unreadable entry (here a directory; likewise EACCES or
         // EMFILE) is a miss that keeps the entry and counts nothing.
         std::fs::create_dir(&entry).expect("mkdir");
         assert!(cache.lookup(key).is_none());
         assert!(entry.is_dir(), "an unreadable entry is kept");
-        assert_eq!(cache.stats().corrupt, 3);
+        assert_eq!(cache.stats().corrupt, 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -79,7 +79,7 @@ fn run_epoch(h: &Harness, w: &Arc<dyn Workload>, agent: &SharedAgent) -> SimRepo
     let setup = Scheme::athena_rl_setup(h.trace_for(w), L1Pf::Ipcp, agent.clone());
     let mut sys =
         System::new(SystemConfig::cascade_lake(1), vec![setup]).with_engine_mode(h.rc.engine);
-    sys.run(h.rc.warmup, h.rc.instructions)
+    h.run_system(&mut sys, h.rc.warmup, h.rc.instructions)
 }
 
 /// Runs the learning curve on the first active workload.

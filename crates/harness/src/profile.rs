@@ -9,9 +9,8 @@
 //! - `engine` + `run_engine` — the engine mode and the run-cache
 //!   counter snapshot, field-for-field equal to the `# run-engine:`
 //!   summary line (both are rendered from the same registry);
-//! - `metrics` — every metric of the run cache's registry merged with
-//!   the process-global registry (`sim_*` engine metrics when built
-//!   with the `obs` feature), histograms carried as
+//! - `metrics` — every metric of the run cache's registry (including
+//!   the `sim_*` engine counters), histograms carried as
 //!   count/sum/min/max/p50/p90/p99;
 //! - `cells` — the per-cell wall-clock timing log (label, outcome,
 //!   queue wait, total duration).
@@ -44,10 +43,7 @@ pub fn profile_value(harness: &Harness, engine: &str) -> Value {
 #[must_use]
 pub fn profile_value_with(harness: &Harness, engine: &str, timeline: Option<Value>) -> Value {
     let stats = harness.engine_stats();
-    let merged = harness
-        .metrics()
-        .snapshot()
-        .merged(tlp_obs::global().snapshot());
+    let snapshot = harness.metrics().snapshot();
     let cells = harness
         .cell_timings()
         .into_iter()
@@ -68,7 +64,7 @@ pub fn profile_value_with(harness: &Harness, engine: &str, timeline: Option<Valu
         ("version".to_owned(), Value::Num(PROFILE_VERSION)),
         ("engine".to_owned(), Value::Str(engine.to_owned())),
         ("run_engine".to_owned(), stats_value(&stats)),
-        ("metrics".to_owned(), metrics_value(&merged)),
+        ("metrics".to_owned(), metrics_value(&snapshot)),
         ("cells".to_owned(), Value::Arr(cells)),
     ];
     if let Some(t) = timeline {

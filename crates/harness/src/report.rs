@@ -1,5 +1,7 @@
 //! Experiment results and plain-text rendering.
 
+use tlp_sim::serial::escape;
+
 /// One row of an experiment table: a label plus named numeric columns.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -116,22 +118,10 @@ impl ExperimentResult {
     /// Renders the result as JSON (the paper's artifact feeds its Jupyter
     /// notebooks from machine-readable results; this is the equivalent).
     /// Hand-rolled to avoid a JSON dependency — the value space is only
-    /// strings and finite floats.
+    /// strings and finite floats; strings go through the workspace
+    /// codec's [`escape`].
     #[must_use]
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         fn num(v: f64) -> String {
             if v.is_finite() {
                 format!("{v}")
@@ -146,13 +136,11 @@ impl ExperimentResult {
                     let vals: Vec<String> = r
                         .values
                         .iter()
-                        .map(|(c, v)| {
-                            format!("{{\"column\":\"{}\",\"value\":{}}}", esc(c), num(*v))
-                        })
+                        .map(|(c, v)| format!("{{\"column\":{},\"value\":{}}}", escape(c), num(*v)))
                         .collect();
                     format!(
-                        "{{\"label\":\"{}\",\"values\":[{}]}}",
-                        esc(&r.label),
+                        "{{\"label\":{},\"values\":[{}]}}",
+                        escape(&r.label),
                         vals.join(",")
                     )
                 })
@@ -160,10 +148,10 @@ impl ExperimentResult {
             format!("[{}]", items.join(","))
         }
         format!(
-            "{{\"id\":\"{}\",\"title\":\"{}\",\"unit\":\"{}\",\"rows\":{},\"summary\":{}}}",
-            esc(&self.id),
-            esc(&self.title),
-            esc(&self.unit),
+            "{{\"id\":{},\"title\":{},\"unit\":{},\"rows\":{},\"summary\":{}}}",
+            escape(&self.id),
+            escape(&self.title),
+            escape(&self.unit),
             rows_json(&self.rows),
             rows_json(&self.summary)
         )

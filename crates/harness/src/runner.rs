@@ -343,7 +343,8 @@ impl Harness {
     }
 
     /// The run cache's metrics registry (`run_cache_*` counters and
-    /// phase histograms) — the substrate behind [`Harness::engine_stats`],
+    /// phase histograms, plus the `sim_*` engine counters every
+    /// simulation adds) — the substrate behind [`Harness::engine_stats`],
     /// `--profile` artifacts, and the serve daemon's `STATS` frame.
     #[must_use]
     pub fn metrics(&self) -> &tlp_obs::MetricsRegistry {
@@ -755,7 +756,24 @@ impl Harness {
     /// is a deterministic, single-threaded simulation, which is what makes
     /// content addressing and thread-count invariance sound.
     fn simulate(&self, cell: &RunCell) -> SimReport {
-        self.system(cell).run(self.rc.warmup, self.rc.instructions)
+        self.run_system(&mut self.system(cell), self.rc.warmup, self.rc.instructions)
+    }
+
+    /// Runs `sys` (see [`System::run`]) and adds its engine totals to
+    /// [`Harness::metrics`]: executed ticks, executed core stages, cycles
+    /// advanced, and the idle cycles the event engine skipped. The
+    /// `System` counts these anyway, so reading them once per run keeps
+    /// the counters on at no per-tick cost.
+    pub(crate) fn run_system(&self, sys: &mut System, warmup: u64, measure: u64) -> SimReport {
+        let report = sys.run(warmup, measure);
+        let m = self.metrics();
+        let (ticks, cycles) = (sys.ticks_executed(), sys.cycle());
+        m.counter("sim_ticks_executed_total").add(ticks);
+        m.counter("sim_core_ticks_total")
+            .add(sys.core_ticks_executed().iter().sum());
+        m.counter("sim_cycles_advanced_total").add(cycles);
+        m.counter("sim_cycles_skipped_total").add(cycles - ticks);
+        report
     }
 
     /// Captures the simulated-time telemetry of each cell, one
@@ -788,7 +806,7 @@ impl Harness {
                 }
                 let mut sys = self.system(cell);
                 sys.enable_timeline(tcfg);
-                let _ = sys.run(self.rc.warmup, self.rc.instructions);
+                let _ = self.run_system(&mut sys, self.rc.warmup, self.rc.instructions);
                 let timeline = sys
                     .take_timeline()
                     .expect("timeline enabled before the run");
@@ -909,9 +927,9 @@ impl Harness {
                 let region = recs[start..end].to_vec();
                 let trace = VecTrace::looping(format!("{}@sp{}", w.name(), p.interval), region);
                 let setup = self.assemble(&cell.scheme, &cell.l1pf, Box::new(trace));
-                System::new(cell.config.clone(), vec![setup])
-                    .with_engine_mode(self.rc.engine)
-                    .run(warm, measure)
+                let mut sys =
+                    System::new(cell.config.clone(), vec![setup]).with_engine_mode(self.rc.engine);
+                self.run_system(&mut sys, warm, measure)
             },
         );
         // Scale weights so the estimate lands in full-run units.

@@ -2,11 +2,88 @@
 //! through the same [`Harness`] path the CLI uses, parses with the
 //! workspace's own JSON codec, and its counters are field-for-field the
 //! numbers on the `# run-engine:` summary line (both render from the
-//! same metrics registry).
+//! same metrics registry). Every simulation also adds its engine
+//! counters (`sim_*`) to that registry.
 
-use tlp_harness::{Harness, RunConfig};
+use tlp_harness::mix::generate_mixes;
+use tlp_harness::{EngineMode, Harness, L1Pf, Machine, RunCell, RunConfig, Scheme};
 use tlp_plugin::SchemeSpec;
 use tlp_sim::serial::parse_value;
+
+/// The engine counters, in the order `[ticks executed, core stages
+/// executed, cycles advanced, cycles skipped]`.
+const ENGINE_COUNTERS: [&str; 4] = [
+    "sim_ticks_executed_total",
+    "sim_core_ticks_total",
+    "sim_cycles_advanced_total",
+    "sim_cycles_skipped_total",
+];
+
+fn engine_counters(h: &Harness) -> [u64; 4] {
+    let snap = h.metrics().snapshot();
+    ENGINE_COUNTERS.map(|name| snap.counter(name).unwrap_or(0))
+}
+
+/// A test-scale harness on `engine`, with a short window: these tests
+/// count ticks, they do not need the full budget.
+fn short_harness(engine: EngineMode) -> Harness {
+    let mut rc = RunConfig::test();
+    rc.warmup = 1_000;
+    rc.instructions = 4_000;
+    rc.engine = engine;
+    Harness::new(rc)
+}
+
+/// Baseline + IPCP on `workloads` (one for a single-core cell, four for
+/// a mix).
+fn baseline_cell(
+    h: &Harness,
+    workloads: &[std::sync::Arc<dyn tlp_trace::emit::Workload>],
+) -> RunCell {
+    h.cell(
+        workloads,
+        Scheme::Baseline.resolve(),
+        L1Pf::Ipcp.resolve(),
+        Machine::CascadeLake(None),
+    )
+}
+
+#[test]
+fn simulations_add_engine_counters_and_cache_hits_add_none() {
+    let h = short_harness(EngineMode::Event);
+    let cells: Vec<RunCell> = h.active_workloads()[..2]
+        .iter()
+        .map(|w| baseline_cell(&h, std::slice::from_ref(w)))
+        .collect();
+    let _ = h.run(&cells);
+    let cold = engine_counters(&h);
+    let [ticks, core_ticks, advanced, skipped] = cold;
+    for (name, value) in ENGINE_COUNTERS.iter().zip(cold) {
+        assert!(value > 0, "{name} counts the cold batch: {cold:?}");
+    }
+    assert_eq!(
+        advanced,
+        ticks + skipped,
+        "every cycle is executed or skipped"
+    );
+    assert!(core_ticks <= ticks, "one core per cell: {cold:?}");
+
+    let _ = h.run(&cells);
+    assert_eq!(h.engine_stats().mem_hits, 2, "the rerun is warm");
+    assert_eq!(engine_counters(&h), cold, "cache hits simulate nothing");
+}
+
+#[test]
+fn the_cycle_engine_skips_nothing_and_runs_every_core_stage() {
+    let h = short_harness(EngineMode::Cycle);
+    let mix = &generate_mixes(&h.active_workloads(), 1)[0];
+    let _ = h.run(&[baseline_cell(&h, &mix.workloads)]);
+    let [ticks, core_ticks, advanced, skipped] = engine_counters(&h);
+    assert!(ticks > 0);
+    assert_eq!(skipped, 0);
+    assert_eq!(advanced, ticks);
+    assert_eq!(core_ticks, mix.workloads.len() as u64 * ticks);
+}
 
 /// Runs a small grid twice over one harness — the repeat turns every
 /// cell into a memory hit — then checks the written artifact against
@@ -120,6 +197,13 @@ fn profile_artifact_matches_the_summary_line() {
     let simulate = find("run_cache_simulate_ns");
     assert_eq!(simulate.u64_field("count").unwrap(), stats.simulated);
     assert!(simulate.u64_field("p99").unwrap() >= simulate.u64_field("p50").unwrap());
+    // ... and the engine counters of the two simulations.
+    for (name, value) in ENGINE_COUNTERS.iter().zip(engine_counters(&h)) {
+        let metric = find(name);
+        assert_eq!(metric.str_field("kind").unwrap(), "counter");
+        assert_eq!(metric.u64_field("value").unwrap(), value);
+    }
+    assert!(find("sim_ticks_executed_total").u64_field("value").unwrap() > 0);
 
     // The per-cell timing log: 4 entries, 2 simulated then 2 mem hits.
     let cells_log = parsed.arr_field("cells").expect("cells section");

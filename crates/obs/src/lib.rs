@@ -13,9 +13,8 @@
 //!   histogram record is two index instructions plus four relaxed
 //!   atomics. Handles are `Arc`-backed and `Clone`, so call sites hoist
 //!   the name lookup out of hot loops and keep a handle.
-//! - **Zero dependencies.** Everything is `std`: the crate must be
-//!   linkable from `tlp_sim` behind a feature flag without growing the
-//!   mandatory build graph.
+//! - **Zero dependencies.** Everything is `std`: any crate can link it
+//!   without growing the build graph.
 //!
 //! # Example
 //!
@@ -39,7 +38,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Sub-buckets per power-of-two octave. Four sub-buckets bound the
@@ -354,9 +353,9 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Appends another snapshot's metrics (re-sorting by name). Callers
-    /// merge disjoint registries — e.g. the run-cache registry with the
-    /// process-global engine registry; duplicate names are kept side by
-    /// side rather than summed.
+    /// merge disjoint registries — e.g. the serve daemon's registry with
+    /// the run-cache registry; duplicate names are kept side by side
+    /// rather than summed.
     #[must_use]
     pub fn merged(mut self, other: Snapshot) -> Snapshot {
         self.metrics.extend(other.metrics);
@@ -525,16 +524,6 @@ impl MetricsRegistry {
                 .collect(),
         }
     }
-}
-
-/// The process-global registry. Components constructed deep inside
-/// worker threads (the simulated `System`, notably) record here;
-/// everything with its own lifecycle (a `ResultCache`, a `Server`)
-/// owns a private registry instead.
-#[must_use]
-pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::new)
 }
 
 #[cfg(test)]
@@ -731,13 +720,6 @@ mod tests {
         assert_eq!(merged.metrics.len(), 2);
         assert_eq!(merged.metrics[0].name, "aa_total");
         assert_eq!(merged.counter("zz_total"), Some(1));
-    }
-
-    #[test]
-    fn global_registry_is_a_singleton() {
-        let c = global().counter("obs_selftest_total");
-        c.inc();
-        assert!(global().snapshot().counter("obs_selftest_total").unwrap() >= 1);
     }
 
     #[test]

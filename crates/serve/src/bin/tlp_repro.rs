@@ -701,8 +701,8 @@ fn main() {
             );
         }
         // A live metrics snapshot (Prometheus-style text) from the
-        // daemon: request counters, latency quantiles, run-cache and —
-        // when the daemon was built with `obs` — engine metrics.
+        // daemon: request counters, latency quantiles, run-cache and
+        // engine counters.
         if want_stats {
             match client.stats() {
                 Ok(text) => print!("{text}"),

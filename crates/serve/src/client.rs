@@ -175,9 +175,8 @@ impl Client {
 
     /// Asks the daemon for its live metrics snapshot: Prometheus-style
     /// text with the serve-layer counters and latency quantiles, the
-    /// shared run cache's counters and phase histograms, and (when the
-    /// daemon was built with the `obs` feature) the `sim_*` engine
-    /// metrics.
+    /// shared run cache's counters and phase histograms, and the `sim_*`
+    /// engine counters.
     ///
     /// # Errors
     ///

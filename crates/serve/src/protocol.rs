@@ -235,8 +235,8 @@ impl SummaryFrame {
 
 /// A metrics exchange: the client's query carries empty `text`, the
 /// server's reply carries the rendered Prometheus-style snapshot
-/// (request counters, latency quantiles, run-cache counters, and —
-/// under the `obs` feature — `sim_*` engine metrics).
+/// (request counters, latency quantiles, run-cache counters, and the
+/// `sim_*` engine counters).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsFrame {
     /// Prometheus-style text exposition (empty in a client's query).

@@ -285,15 +285,14 @@ fn handle_connection(
     Ok(())
 }
 
-/// The daemon's own metrics merged with the shared harness's run-cache
-/// registry and the process-global registry (`sim_*` engine metrics
-/// when built with the `obs` feature), as Prometheus-style text.
+/// The daemon's own metrics merged with the shared harness's registry
+/// (run-cache counters and the `sim_*` engine counters), as
+/// Prometheus-style text.
 fn render_stats(metrics: &ServeMetrics, harness: &Harness) -> String {
     metrics
         .registry
         .snapshot()
         .merged(harness.metrics().snapshot())
-        .merged(tlp_obs::global().snapshot())
         .render_prometheus()
 }
 

@@ -3,10 +3,12 @@
 //! clients requesting the same cold grid cause each unique cell to be
 //! simulated exactly once, and both receive byte-identical tables.
 
+use std::net::TcpStream;
 use std::sync::Barrier;
 
 use tlp_harness::{Harness, RunConfig};
-use tlp_serve::{scheme_result, Client, ServeError, Server, SweepRequest};
+use tlp_serve::protocol::{read_frame, write_frame};
+use tlp_serve::{scheme_result, Client, ErrorFrame, FrameKind, ServeError, Server, SweepRequest};
 
 fn test_server() -> (tlp_serve::ServerHandle, std::net::SocketAddr) {
     let mut rc = RunConfig::test();
@@ -186,6 +188,40 @@ fn stats_frame_reports_live_service_metrics() {
         )),
         "run-cache counters ride along:\n{warm}"
     );
+    // So are the engine counters the sweep's simulations added.
+    assert!(
+        warm.lines().any(|l| l
+            .strip_prefix("sim_ticks_executed_total ")
+            .is_some_and(|n| n.parse::<u64>().is_ok_and(|n| n > 0))),
+        "engine counters ride along:\n{warm}"
+    );
+
+    handle.shutdown();
+}
+
+#[test]
+fn a_deeply_nested_frame_is_rejected_and_the_daemon_keeps_serving() {
+    let (handle, addr) = test_server();
+
+    // 10,000 unclosed arrays: far under the frame cap, far past the
+    // parser's nesting bound.
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    write_frame(&mut raw, FrameKind::Request, "[".repeat(10_000).as_bytes()).expect("send");
+    let (kind, payload) = read_frame(&mut raw)
+        .expect("read the reply")
+        .expect("the daemon answers");
+    assert_eq!(kind, FrameKind::Error);
+    let msg = ErrorFrame::decode(&payload)
+        .expect("an error payload")
+        .message;
+    assert!(msg.contains("nesting"), "names the cause: {msg}");
+    drop(raw);
+
+    let mut client = Client::connect(addr).expect("connect again");
+    let reply = client
+        .sweep(&baseline_sweep())
+        .expect("sweep after the frame");
+    assert!(!reply.cells.is_empty());
 
     handle.shutdown();
 }

@@ -369,9 +369,6 @@ pub struct System {
     /// Ticks actually executed (== elapsed cycles in cycle mode; the gap
     /// to `cycle` is the event engine's skipped-idle-cycle win).
     ticks_executed: u64,
-    /// Write-only instrumentation handles (a zero-sized no-op without
-    /// the `obs` feature).
-    obs: crate::obs::EngineObs,
     /// Simulated-time telemetry recorder, armed by
     /// [`System::enable_timeline`]. Boxed so the common disabled case
     /// costs one pointer; all recorder storage is preallocated, so the
@@ -448,7 +445,6 @@ impl System {
             mode: EngineMode::default(),
             scratch: TickScratch::default(),
             ticks_executed: 0,
-            obs: crate::obs::EngineObs::new(),
             timeline: None,
         }
     }
@@ -721,23 +717,15 @@ impl System {
             self.wb_retry.len(),
             self.spec_pending.len(),
         ));
-        // A metrics snapshot makes the stall report self-contained: tick
-        // counts show which components were still being driven, and with
-        // the `obs` feature the full `sim_*` registry rides along.
-        let mut metrics = format!(
+        // The engine counters make the stall report self-contained: they
+        // show which components were still being driven.
+        let metrics = format!(
             "  ticks executed {} of {} cycles ({} skipped), core stages executed {:?}",
             self.ticks_executed,
             self.cycle,
             self.cycle - self.ticks_executed,
             self.core_ticks_executed(),
         );
-        let rendered = crate::obs::EngineObs::render_snapshot();
-        if !rendered.is_empty() {
-            metrics.push_str("\n  obs registry:\n");
-            for line in rendered.lines().filter(|l| l.starts_with("sim_")) {
-                metrics.push_str(&format!("    {line}\n"));
-            }
-        }
         panic!(
             "no instruction retired for 1M cycles at cycle {} ({} engine): deadlock\n\
              stalled core{stalled}: {}\n\
@@ -776,7 +764,6 @@ impl System {
     }
 
     fn finalize_report(&mut self, start: Cycle) -> SimReport {
-        self.obs.on_run_complete(self.cycle, self.ticks_executed);
         // Unused prefetched lines still resident count as useless.
         let evs: Vec<PrefetchEviction> = self
             .cores
@@ -846,34 +833,30 @@ impl System {
     /// to the next cycle when nothing at all is scheduled but the run is
     /// not over (a simulator bug: single-stepping lets the watchdog
     /// produce its diagnosis).
-    fn next_wake(&mut self) -> Cycle {
+    fn next_wake(&self) -> Cycle {
         let now = self.cycle;
         let soonest = now + 1;
         if self.work_due_next_cycle(now) {
             return soonest;
         }
         let mut wake = Cycle::MAX;
-        let mut scheduled = 0usize;
         if let Some(t) = self.dram.next_event(now) {
             if t <= soonest {
                 return soonest;
             }
             wake = wake.min(t);
-            scheduled += 1;
         }
         if let Some(t) = self.spec_pending.next_ready() {
             if t <= soonest {
                 return soonest;
             }
             wake = wake.min(t);
-            scheduled += 1;
         }
         if let Some(t) = self.llc.next_ready() {
             if t <= soonest {
                 return soonest;
             }
             wake = wake.min(t);
-            scheduled += 1;
         }
         for c in &self.cores {
             if let Some(t) = c.l2.next_ready() {
@@ -881,14 +864,12 @@ impl System {
                     return soonest;
                 }
                 wake = wake.min(t);
-                scheduled += 1;
             }
             if let Some(t) = c.l1d.next_ready() {
                 if t <= soonest {
                     return soonest;
                 }
                 wake = wake.min(t);
-                scheduled += 1;
             }
         }
         for c in &self.cores {
@@ -897,12 +878,8 @@ impl System {
                     return soonest;
                 }
                 wake = wake.min(c.wake);
-                scheduled += 1;
             }
         }
-        // The gauge keeps its historical meaning: how many components had
-        // a scheduled wake-up when the full pass ran.
-        self.obs.event_queue_depth(scheduled);
         if wake == Cycle::MAX {
             soonest
         } else {
@@ -1000,46 +977,37 @@ impl System {
             let _ = self.dram.push_speculative(req);
         }
         // 4. The cache hierarchy: LLC, then per-core L2 and L1D.
-        {
-            let _t = self.obs.cache_tick_span();
-            self.tick_llc(now);
-            for i in 0..self.cores.len() {
-                self.tick_l2(i, now);
-            }
-            for i in 0..self.cores.len() {
-                self.tick_l1d(i, now);
-            }
+        self.tick_llc(now);
+        for i in 0..self.cores.len() {
+            self.tick_l2(i, now);
+        }
+        for i in 0..self.cores.len() {
+            self.tick_l1d(i, now);
         }
         // 5. The cores themselves.
-        let mut skipped = 0;
-        {
-            let _t = self.obs.core_tick_span();
-            for i in 0..self.cores.len() {
-                if EVENT && self.cores[i].wake > now {
-                    let c = &mut self.cores[i];
-                    debug_assert_eq!(
-                        c.core
-                            .next_wake(now - 1, c.trace_exhausted)
-                            .unwrap_or(Cycle::MAX),
-                        c.wake,
-                        "core{i} changed state at cycle {now} without clearing its wake-up"
-                    );
-                    c.stages_skipped += 1;
-                    skipped += 1;
-                    continue;
-                }
-                self.tick_core(i, now);
-                if EVENT {
-                    let c = &mut self.cores[i];
-                    c.wake = if c.core.wants_next_cycle(now, c.trace_exhausted) {
-                        now + 1
-                    } else {
-                        let _t = self.obs.rob_walk_span();
-                        c.core
-                            .next_wake(now, c.trace_exhausted)
-                            .unwrap_or(Cycle::MAX)
-                    };
-                }
+        for i in 0..self.cores.len() {
+            if EVENT && self.cores[i].wake > now {
+                let c = &mut self.cores[i];
+                debug_assert_eq!(
+                    c.core
+                        .next_wake(now - 1, c.trace_exhausted)
+                        .unwrap_or(Cycle::MAX),
+                    c.wake,
+                    "core{i} changed state at cycle {now} without clearing its wake-up"
+                );
+                c.stages_skipped += 1;
+                continue;
+            }
+            self.tick_core(i, now);
+            if EVENT {
+                let c = &mut self.cores[i];
+                c.wake = if c.core.wants_next_cycle(now, c.trace_exhausted) {
+                    now + 1
+                } else {
+                    c.core
+                        .next_wake(now, c.trace_exhausted)
+                        .unwrap_or(Cycle::MAX)
+                };
             }
         }
         // A window boundary landing exactly on this cycle is sampled with
@@ -1055,8 +1023,6 @@ impl System {
                 tl.sample_at(now, snap, rob, mshr);
             }
         }
-        let cores = self.cores.len() as u64;
-        self.obs.on_tick(cores, cores - skipped);
     }
 
     #[inline(always)]
@@ -1704,32 +1670,6 @@ mod tests {
     fn tiny_system(trace: VecTrace) -> System {
         let cfg = SystemConfig::test_tiny(1);
         System::new(cfg, vec![CoreSetup::new(Box::new(trace))])
-    }
-
-    /// The `obs` feature records engine activity into the global
-    /// registry without changing any simulated result (bit-identity
-    /// under the feature is pinned by the golden/determinism suites in
-    /// CI; here we pin that the metrics actually move).
-    #[cfg(feature = "obs")]
-    #[test]
-    fn obs_feature_records_engine_metrics() {
-        let mut sys = tiny_system(stream_trace(300, 64)).with_engine_mode(EngineMode::Event);
-        let report = sys.run(0, 300);
-        assert_eq!(report.cores[0].core.instructions, 300);
-        let snap = tlp_obs::global().snapshot();
-        let ticks = snap.counter("sim_ticks_executed_total").unwrap_or(0);
-        assert!(ticks >= sys.ticks_executed(), "tick counter must advance");
-        assert!(snap.counter("sim_cycles_advanced_total").unwrap_or(0) >= sys.cycle());
-        assert!(
-            snap.histogram("sim_cache_tick_ns")
-                .is_some_and(|h| h.count > 0),
-            "cache-section spans must record"
-        );
-        assert!(
-            snap.histogram("sim_rob_walk_ns")
-                .is_some_and(|h| h.count > 0),
-            "event mode must time ROB walks"
-        );
     }
 
     #[test]

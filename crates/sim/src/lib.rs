@@ -36,7 +36,6 @@ pub mod core;
 pub mod dram;
 pub mod engine;
 pub mod hooks;
-pub mod obs;
 pub mod replacement;
 pub mod request;
 pub mod serial;

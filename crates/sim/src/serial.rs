@@ -241,15 +241,23 @@ pub enum Value {
     Obj(Vec<(String, Value)>),
 }
 
+/// Deepest array/object nesting [`parse_value`] accepts. The parser
+/// recurses once per level, so a bound keeps hostile input (a cache entry
+/// or protocol frame of nothing but `[`) from overflowing the stack; the
+/// documents the codecs write nest fewer than ten levels.
+const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON value, requiring the whole input to be consumed.
 ///
 /// # Errors
 ///
-/// Returns [`SerialError`] on malformed input or trailing data.
+/// Returns [`SerialError`] on malformed input, trailing data, or arrays
+/// and objects nested more than 64 deep.
 pub fn parse_value(text: &str) -> Result<Value, SerialError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -262,6 +270,8 @@ pub fn parse_value(text: &str) -> Result<Value, SerialError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -295,11 +305,26 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value, SerialError> {
         match self.peek() {
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'0'..=b'9') => self.number(),
             _ => self.err("expected a value"),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to open more
+    /// than [`MAX_DEPTH`] levels.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, SerialError>,
+    ) -> Result<Value, SerialError> {
+        if self.depth == MAX_DEPTH {
+            return self.err(&format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Value, SerialError> {
@@ -900,6 +925,18 @@ mod tests {
         assert!(report_from_json(&format!("{good}x")).is_err());
         // A truncated file (e.g. a crashed writer) must not decode.
         assert!(report_from_json(&good[..good.len() - 5]).is_err());
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_bound_is_an_error() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_value(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_value(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.to_string().contains("nesting"), "{err}");
+        // Far past the bound the parser stops at the bound: an error, not
+        // a stack overflow.
+        assert!(parse_value(&"[".repeat(100_000)).is_err());
+        assert!(parse_value(&"{\"k\":".repeat(100_000)).is_err());
     }
 
     #[test]
