@@ -36,7 +36,8 @@ use std::time::Instant;
 use parking_lot::RwLock;
 
 use tlp_obs::{Counter, Histogram, MetricsRegistry};
-use tlp_sim::{serial, SimReport, Timeline};
+use tlp_sim::serial::{self, Codec};
+use tlp_sim::{SimReport, Timeline};
 use tlp_tracestore::store::{content_hash, ContentStore, Load};
 
 /// Salt folded into every [`RunKey`]. Bump this whenever a change to the
@@ -235,6 +236,13 @@ pub struct EngineStats {
     pub deduped: u64,
 }
 
+// The `# run-engine:` summary line, the `--profile` artifact's
+// `run_engine` section and the daemon's SUMMARY frame all write the
+// counters from this one list, in this order.
+tlp_sim::codec! {
+    EngineStats { requested, deduped, mem_hits, disk_hits, coalesced, corrupt, evicted, simulated }
+}
+
 impl EngineStats {
     /// Lookups that did not cost this requester a simulation: cache-tier
     /// hits plus waits coalesced onto an in-flight simulation.
@@ -254,21 +262,16 @@ impl EngineStats {
     }
 
     /// The one-line summary printed by the CLI (and asserted by CI's
-    /// cache-behavior job).
+    /// cache-behavior job): every counter as `name=value`, then the hit
+    /// rate.
     #[must_use]
     pub fn summary_line(&self) -> String {
-        format!(
-            "requested={} deduped={} mem_hits={} disk_hits={} coalesced={} corrupt={} evicted={} simulated={} hit_rate={:.1}%",
-            self.requested,
-            self.deduped,
-            self.mem_hits,
-            self.disk_hits,
-            self.coalesced,
-            self.corrupt,
-            self.evicted,
-            self.simulated,
-            self.hit_rate_percent()
-        )
+        let mut line = String::new();
+        let counters = self.to_value();
+        for (name, value) in counters.obj().expect("a codec struct encodes as an object") {
+            line.push_str(&format!("{name}={} ", value.render()));
+        }
+        format!("{line}hit_rate={:.1}%", self.hit_rate_percent())
     }
 }
 

@@ -8,7 +8,7 @@
 //! - `version` — the artifact format version ([`PROFILE_VERSION`]);
 //! - `engine` + `run_engine` — the engine mode and the run-cache
 //!   counter snapshot, field-for-field equal to the `# run-engine:`
-//!   summary line (both are rendered from the same registry);
+//!   summary line (both are written from [`crate::EngineStats`]'s codec);
 //! - `metrics` — every metric of the run cache's registry (including
 //!   the `sim_*` engine counters), histograms carried as
 //!   count/sum/min/max/p50/p90/p99;
@@ -18,9 +18,8 @@
 use std::path::Path;
 
 use tlp_obs::{MetricValue, Snapshot};
-use tlp_sim::serial::Value;
+use tlp_sim::serial::{Codec, Value};
 
-use crate::cache::EngineStats;
 use crate::runner::Harness;
 
 /// Format version of the `--profile` artifact.
@@ -63,7 +62,7 @@ pub fn profile_value_with(harness: &Harness, engine: &str, timeline: Option<Valu
         ("schema".to_owned(), Value::Num(PROFILE_SCHEMA)),
         ("version".to_owned(), Value::Num(PROFILE_VERSION)),
         ("engine".to_owned(), Value::Str(engine.to_owned())),
-        ("run_engine".to_owned(), stats_value(&stats)),
+        ("run_engine".to_owned(), stats.to_value()),
         ("metrics".to_owned(), metrics_value(&snapshot)),
         ("cells".to_owned(), Value::Arr(cells)),
     ];
@@ -80,22 +79,6 @@ pub fn profile_value_with(harness: &Harness, engine: &str, timeline: Option<Valu
 /// Returns the underlying I/O error when the file cannot be written.
 pub fn write_profile(harness: &Harness, engine: &str, path: &Path) -> std::io::Result<()> {
     std::fs::write(path, profile_value(harness, engine).render())
-}
-
-/// The [`EngineStats`] snapshot as an object value — one field per
-/// counter of the `# run-engine:` summary line.
-#[must_use]
-pub fn stats_value(stats: &EngineStats) -> Value {
-    Value::Obj(vec![
-        ("requested".to_owned(), Value::Num(stats.requested)),
-        ("deduped".to_owned(), Value::Num(stats.deduped)),
-        ("mem_hits".to_owned(), Value::Num(stats.mem_hits)),
-        ("disk_hits".to_owned(), Value::Num(stats.disk_hits)),
-        ("coalesced".to_owned(), Value::Num(stats.coalesced)),
-        ("corrupt".to_owned(), Value::Num(stats.corrupt)),
-        ("evicted".to_owned(), Value::Num(stats.evicted)),
-        ("simulated".to_owned(), Value::Num(stats.simulated)),
-    ])
 }
 
 /// A metrics snapshot as an array of per-metric objects. Gauges are

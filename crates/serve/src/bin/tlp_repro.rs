@@ -683,11 +683,11 @@ fn main() {
             let runs: Vec<TimelineRun> = reply
                 .runs
                 .iter()
-                .map(|(workload, timeline)| TimelineRun {
-                    workload: workload.clone(),
+                .map(|run| TimelineRun {
+                    workload: run.workload.clone(),
                     scheme: reply.scheme.clone(),
                     l1pf: reply.l1pf.clone(),
-                    timeline: std::sync::Arc::new(timeline.clone()),
+                    timeline: std::sync::Arc::new(run.timeline.clone()),
                 })
                 .collect();
             if let Err(e) = tlp_harness::timeline::write_timeline_files(path, &runs) {

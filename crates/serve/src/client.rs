@@ -8,7 +8,7 @@ use tlp_sim::serial::SerialError;
 use tlp_sim::SimReport;
 
 use crate::protocol::{
-    read_frame, write_frame, CellFrame, ErrorFrame, FrameKind, StatsFrame, SummaryFrame,
+    read_frame, write_frame, CellFrame, ErrorFrame, Frame, FrameKind, StatsFrame, SummaryFrame,
     SweepRequest, TimelineQuery, TimelineReply,
 };
 
@@ -173,16 +173,6 @@ impl Client {
         }
     }
 
-    /// Asks the daemon for its live metrics snapshot: Prometheus-style
-    /// text with the serve-layer counters and latency quantiles, the
-    /// shared run cache's counters and phase histograms, and the `sim_*`
-    /// engine counters.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Server`] when the daemon rejects the query,
-    /// [`ServeError::Protocol`]/[`ServeError::Io`] on a broken peer or
-    /// transport.
     /// Asks the daemon to capture simulated-time telemetry: one
     /// [`tlp_sim::Timeline`] per workload, streamed back through the
     /// daemon's blob cache. Deterministic captures mean the reply's
@@ -210,6 +200,16 @@ impl Client {
         }
     }
 
+    /// Asks the daemon for its live metrics snapshot: Prometheus-style
+    /// text with the serve-layer counters and latency quantiles, the
+    /// shared run cache's counters and phase histograms, and the `sim_*`
+    /// engine counters.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Server`] when the daemon rejects the query,
+    /// [`ServeError::Protocol`]/[`ServeError::Io`] on a broken peer or
+    /// transport.
     pub fn stats(&mut self) -> Result<String, ServeError> {
         let query = StatsFrame {
             text: String::new(),

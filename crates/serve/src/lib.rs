@@ -65,7 +65,7 @@ pub mod server;
 
 pub use client::{scheme_result, Client, ServeError, SweepReply};
 pub use protocol::{
-    CellFrame, ErrorFrame, FrameKind, StatsFrame, SummaryFrame, SweepRequest, TimelineQuery,
-    TimelineReply, PROTO_VERSION,
+    CellFrame, ErrorFrame, Frame, FrameKind, StatsFrame, SummaryFrame, SweepRequest, TimelineQuery,
+    TimelineReply, WorkloadTimeline, PROTO_VERSION,
 };
 pub use server::{Server, ServerHandle};

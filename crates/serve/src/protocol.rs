@@ -8,14 +8,20 @@
 //! [`SummaryFrame`] (success) or [`ErrorFrame`] (rejected request). A
 //! connection carries any number of requests sequentially.
 //!
-//! Payloads reuse the harness cache's hand-rolled JSON codec
-//! ([`tlp_sim::serial`]), so a streamed report is byte-identical to its
-//! on-disk cache entry and round-trips losslessly.
+//! Each payload type declares its fields once with [`tlp_sim::codec!`]
+//! and gets [`Frame::encode`]/[`Frame::decode`] from the [`Frame`]
+//! trait, which also checks the protocol version in one place: a type
+//! whose [`Frame::VERSIONED`] is set (REQUEST, STATS and TIMELINE
+//! payloads) writes `proto` as its first field, and its decoder rejects
+//! any version but [`PROTO_VERSION`]. Payloads embed reports and
+//! timelines through their own [`Codec`]s, so a streamed report is
+//! byte-identical to its on-disk cache entry and round-trips losslessly.
 
 use std::io::{Read, Write};
 
 use tlp_harness::EngineStats;
-use tlp_sim::serial::{self, SerialError, Value};
+use tlp_sim::codec;
+use tlp_sim::serial::{self, decode_field, Codec, SerialError, Value};
 use tlp_sim::{SimReport, Timeline};
 
 /// Protocol version spoken by this build; requests carrying a different
@@ -65,6 +71,52 @@ impl FrameKind {
     }
 }
 
+/// A frame payload: its [`Codec`] object, rendered as JSON.
+pub trait Frame: Codec {
+    /// Whether the payload carries the protocol version as its first
+    /// field, `proto`, and is rejected when that is not
+    /// [`PROTO_VERSION`].
+    const VERSIONED: bool;
+
+    /// Encodes the payload.
+    #[must_use]
+    fn encode(&self) -> Vec<u8> {
+        let mut v = self.to_value();
+        if Self::VERSIONED {
+            if let Value::Obj(fields) = &mut v {
+                fields.insert(0, ("proto".to_owned(), Value::Num(PROTO_VERSION)));
+            }
+        }
+        v.render().into_bytes()
+    }
+
+    /// Decodes a payload.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SerialError`] on a payload that is not UTF-8, malformed
+    /// JSON, missing fields, or a protocol-version mismatch.
+    fn decode(payload: &[u8]) -> Result<Self, SerialError> {
+        let text = std::str::from_utf8(payload).map_err(|_| SerialError {
+            offset: 0,
+            message: "payload is not UTF-8".to_owned(),
+        })?;
+        let v = serial::parse_value(text)?;
+        if Self::VERSIONED {
+            let proto = v.u64_field("proto")?;
+            if proto != PROTO_VERSION {
+                return Err(SerialError {
+                    offset: 0,
+                    message: format!(
+                        "protocol version {proto} (this build speaks {PROTO_VERSION})"
+                    ),
+                });
+            }
+        }
+        Self::from_value(&v)
+    }
+}
+
 /// A request: sweep one registered scheme across workloads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepRequest {
@@ -76,57 +128,10 @@ pub struct SweepRequest {
     pub workloads: Vec<String>,
 }
 
-impl SweepRequest {
-    /// Encodes the request payload.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let workloads: Vec<Value> = self
-            .workloads
-            .iter()
-            .map(|w| Value::Str(w.clone()))
-            .collect();
-        Value::Obj(vec![
-            ("proto".to_owned(), Value::Num(PROTO_VERSION)),
-            ("scheme".to_owned(), Value::Str(self.scheme.clone())),
-            ("l1pf".to_owned(), Value::Str(self.l1pf.clone())),
-            ("workloads".to_owned(), Value::Arr(workloads)),
-        ])
-        .render()
-        .into_bytes()
-    }
+codec! { SweepRequest { scheme, l1pf, workloads } }
 
-    /// Decodes a request payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SerialError`] on malformed JSON, missing fields, or a
-    /// protocol-version mismatch.
-    pub fn decode(payload: &[u8]) -> Result<Self, SerialError> {
-        let v = parse_payload(payload)?;
-        let proto = v.u64_field("proto")?;
-        if proto != PROTO_VERSION {
-            return Err(SerialError {
-                offset: 0,
-                message: format!("protocol version {proto} (this build speaks {PROTO_VERSION})"),
-            });
-        }
-        let workloads = v
-            .arr_field("workloads")?
-            .iter()
-            .map(|w| match w {
-                Value::Str(s) => Ok(s.clone()),
-                _ => Err(SerialError {
-                    offset: 0,
-                    message: "workloads must be strings".to_owned(),
-                }),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            scheme: v.str_field("scheme")?,
-            l1pf: v.str_field("l1pf")?,
-            workloads,
-        })
-    }
+impl Frame for SweepRequest {
+    const VERSIONED: bool = true;
 }
 
 /// One completed cell, streamed the moment its report is available.
@@ -138,39 +143,14 @@ pub struct CellFrame {
     pub workload: String,
     /// The cell's canonical label (its cache description).
     pub label: String,
-    /// The cell's report.
+    /// The cell's report, in its on-disk cache encoding.
     pub report: SimReport,
 }
 
-impl CellFrame {
-    /// Encodes the cell payload (the report embeds its on-disk cache
-    /// encoding verbatim).
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        format!(
-            "{{\"index\":{},\"workload\":{},\"label\":{},\"report\":{}}}",
-            self.index,
-            serial::escape(&self.workload),
-            serial::escape(&self.label),
-            serial::report_to_json(&self.report)
-        )
-        .into_bytes()
-    }
+codec! { CellFrame { index, workload, label, report } }
 
-    /// Decodes a cell payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SerialError`] on malformed JSON or missing fields.
-    pub fn decode(payload: &[u8]) -> Result<Self, SerialError> {
-        let v = parse_payload(payload)?;
-        Ok(Self {
-            index: v.u64_field("index")?,
-            workload: v.str_field("workload")?,
-            label: v.str_field("label")?,
-            report: serial::report_from_value(v.field("report")?)?,
-        })
-    }
+impl Frame for CellFrame {
+    const VERSIONED: bool = false;
 }
 
 /// End of a successful response: how many cells were streamed, plus the
@@ -188,49 +168,32 @@ pub struct SummaryFrame {
     pub stats: EngineStats,
 }
 
-impl SummaryFrame {
-    /// Encodes the summary payload.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let s = &self.stats;
-        Value::Obj(vec![
-            ("engine".to_owned(), Value::Str(self.engine.clone())),
-            ("cells".to_owned(), Value::Num(self.cells)),
-            ("requested".to_owned(), Value::Num(s.requested)),
-            ("deduped".to_owned(), Value::Num(s.deduped)),
-            ("mem_hits".to_owned(), Value::Num(s.mem_hits)),
-            ("disk_hits".to_owned(), Value::Num(s.disk_hits)),
-            ("coalesced".to_owned(), Value::Num(s.coalesced)),
-            ("corrupt".to_owned(), Value::Num(s.corrupt)),
-            ("evicted".to_owned(), Value::Num(s.evicted)),
-            ("simulated".to_owned(), Value::Num(s.simulated)),
-        ])
-        .render()
-        .into_bytes()
+// The counters sit flat beside `engine` and `cells`, not nested under
+// `stats`, as protocol version 2 peers expect.
+impl Codec for SummaryFrame {
+    fn to_value(&self) -> Value {
+        let mut v = self.stats.to_value();
+        if let Value::Obj(fields) = &mut v {
+            let head = [
+                ("engine".to_owned(), self.engine.to_value()),
+                ("cells".to_owned(), self.cells.to_value()),
+            ];
+            fields.splice(0..0, head);
+        }
+        v
     }
 
-    /// Decodes a summary payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SerialError`] on malformed JSON or missing fields.
-    pub fn decode(payload: &[u8]) -> Result<Self, SerialError> {
-        let v = parse_payload(payload)?;
+    fn from_value(v: &Value) -> Result<Self, SerialError> {
         Ok(Self {
-            engine: v.str_field("engine")?,
-            cells: v.u64_field("cells")?,
-            stats: EngineStats {
-                requested: v.u64_field("requested")?,
-                deduped: v.u64_field("deduped")?,
-                mem_hits: v.u64_field("mem_hits")?,
-                disk_hits: v.u64_field("disk_hits")?,
-                coalesced: v.u64_field("coalesced")?,
-                corrupt: v.u64_field("corrupt")?,
-                evicted: v.u64_field("evicted")?,
-                simulated: v.u64_field("simulated")?,
-            },
+            engine: decode_field(v, "engine")?,
+            cells: decode_field(v, "cells")?,
+            stats: EngineStats::from_value(v)?,
         })
     }
+}
+
+impl Frame for SummaryFrame {
+    const VERSIONED: bool = false;
 }
 
 /// A metrics exchange: the client's query carries empty `text`, the
@@ -243,37 +206,10 @@ pub struct StatsFrame {
     pub text: String,
 }
 
-impl StatsFrame {
-    /// Encodes the stats payload.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        Value::Obj(vec![
-            ("proto".to_owned(), Value::Num(PROTO_VERSION)),
-            ("text".to_owned(), Value::Str(self.text.clone())),
-        ])
-        .render()
-        .into_bytes()
-    }
+codec! { StatsFrame { text } }
 
-    /// Decodes a stats payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SerialError`] on malformed JSON, a missing field, or a
-    /// protocol-version mismatch.
-    pub fn decode(payload: &[u8]) -> Result<Self, SerialError> {
-        let v = parse_payload(payload)?;
-        let proto = v.u64_field("proto")?;
-        if proto != PROTO_VERSION {
-            return Err(SerialError {
-                offset: 0,
-                message: format!("protocol version {proto} (this build speaks {PROTO_VERSION})"),
-            });
-        }
-        Ok(Self {
-            text: v.str_field("text")?,
-        })
-    }
+impl Frame for StatsFrame {
+    const VERSIONED: bool = true;
 }
 
 /// A client's telemetry query: capture timelines for one scheme /
@@ -293,61 +229,10 @@ pub struct TimelineQuery {
     pub journey_every: u64,
 }
 
-impl TimelineQuery {
-    /// Encodes the query payload.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let workloads: Vec<Value> = self
-            .workloads
-            .iter()
-            .map(|w| Value::Str(w.clone()))
-            .collect();
-        Value::Obj(vec![
-            ("proto".to_owned(), Value::Num(PROTO_VERSION)),
-            ("scheme".to_owned(), Value::Str(self.scheme.clone())),
-            ("l1pf".to_owned(), Value::Str(self.l1pf.clone())),
-            ("workloads".to_owned(), Value::Arr(workloads)),
-            ("window_cycles".to_owned(), Value::Num(self.window_cycles)),
-            ("journey_every".to_owned(), Value::Num(self.journey_every)),
-        ])
-        .render()
-        .into_bytes()
-    }
+codec! { TimelineQuery { scheme, l1pf, workloads, window_cycles, journey_every } }
 
-    /// Decodes a query payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SerialError`] on malformed JSON, missing fields, or a
-    /// protocol-version mismatch.
-    pub fn decode(payload: &[u8]) -> Result<Self, SerialError> {
-        let v = parse_payload(payload)?;
-        let proto = v.u64_field("proto")?;
-        if proto != PROTO_VERSION {
-            return Err(SerialError {
-                offset: 0,
-                message: format!("protocol version {proto} (this build speaks {PROTO_VERSION})"),
-            });
-        }
-        let workloads = v
-            .arr_field("workloads")?
-            .iter()
-            .map(|w| match w {
-                Value::Str(s) => Ok(s.clone()),
-                _ => Err(SerialError {
-                    offset: 0,
-                    message: "workloads must be strings".to_owned(),
-                }),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            scheme: v.str_field("scheme")?,
-            l1pf: v.str_field("l1pf")?,
-            workloads,
-            window_cycles: v.u64_field("window_cycles")?,
-            journey_every: v.u64_field("journey_every")?,
-        })
-    }
+impl Frame for TimelineQuery {
+    const VERSIONED: bool = true;
 }
 
 /// The server's telemetry answer: one captured [`Timeline`] per
@@ -359,66 +244,26 @@ pub struct TimelineReply {
     pub scheme: String,
     /// The L1D prefetcher the capture ran under.
     pub l1pf: String,
-    /// `(workload, timeline)` pairs in request order.
-    pub runs: Vec<(String, Timeline)>,
+    /// One capture per workload, in request order.
+    pub runs: Vec<WorkloadTimeline>,
 }
 
-impl TimelineReply {
-    /// Encodes the reply payload.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let runs: Vec<Value> = self
-            .runs
-            .iter()
-            .map(|(workload, timeline)| {
-                Value::Obj(vec![
-                    ("workload".to_owned(), Value::Str(workload.clone())),
-                    ("timeline".to_owned(), serial::timeline_value(timeline)),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![
-            ("proto".to_owned(), Value::Num(PROTO_VERSION)),
-            ("scheme".to_owned(), Value::Str(self.scheme.clone())),
-            ("l1pf".to_owned(), Value::Str(self.l1pf.clone())),
-            ("runs".to_owned(), Value::Arr(runs)),
-        ])
-        .render()
-        .into_bytes()
-    }
+codec! { TimelineReply { scheme, l1pf, runs } }
 
-    /// Decodes a reply payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SerialError`] on malformed JSON, missing fields, or a
-    /// protocol-version mismatch.
-    pub fn decode(payload: &[u8]) -> Result<Self, SerialError> {
-        let v = parse_payload(payload)?;
-        let proto = v.u64_field("proto")?;
-        if proto != PROTO_VERSION {
-            return Err(SerialError {
-                offset: 0,
-                message: format!("protocol version {proto} (this build speaks {PROTO_VERSION})"),
-            });
-        }
-        let runs = v
-            .arr_field("runs")?
-            .iter()
-            .map(|r| {
-                Ok((
-                    r.str_field("workload")?,
-                    serial::timeline_from_value(r.field("timeline")?)?,
-                ))
-            })
-            .collect::<Result<Vec<_>, SerialError>>()?;
-        Ok(Self {
-            scheme: v.str_field("scheme")?,
-            l1pf: v.str_field("l1pf")?,
-            runs,
-        })
-    }
+impl Frame for TimelineReply {
+    const VERSIONED: bool = true;
 }
+
+/// One workload's capture inside a [`TimelineReply`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WorkloadTimeline {
+    /// The workload the capture ran.
+    pub workload: String,
+    /// Its telemetry.
+    pub timeline: Timeline,
+}
+
+codec! { WorkloadTimeline { workload, timeline } }
 
 /// A rejected request (unknown scheme, unknown workload, bad frame, ...).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -427,36 +272,10 @@ pub struct ErrorFrame {
     pub message: String,
 }
 
-impl ErrorFrame {
-    /// Encodes the error payload.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        Value::Obj(vec![(
-            "message".to_owned(),
-            Value::Str(self.message.clone()),
-        )])
-        .render()
-        .into_bytes()
-    }
+codec! { ErrorFrame { message } }
 
-    /// Decodes an error payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SerialError`] on malformed JSON or a missing field.
-    pub fn decode(payload: &[u8]) -> Result<Self, SerialError> {
-        Ok(Self {
-            message: parse_payload(payload)?.str_field("message")?,
-        })
-    }
-}
-
-fn parse_payload(payload: &[u8]) -> Result<Value, SerialError> {
-    let text = std::str::from_utf8(payload).map_err(|_| SerialError {
-        offset: 0,
-        message: "payload is not UTF-8".to_owned(),
-    })?;
-    serial::parse_value(text)
+impl Frame for ErrorFrame {
+    const VERSIONED: bool = false;
 }
 
 /// Writes one frame (kind, 32-bit big-endian length, payload) and
@@ -510,8 +329,16 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<(FrameKind, Vec<u
             format!("frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // Grow the buffer as bytes arrive instead of trusting the header: a
+    // peer that claims 64 MiB and sends 16 bytes costs 16 bytes.
+    let mut payload = Vec::new();
+    r.by_ref().take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() != len as usize {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("frame truncated after {} of {len} bytes", payload.len()),
+        ));
+    }
     Ok(Some((kind, payload)))
 }
 
@@ -644,7 +471,10 @@ mod tests {
         let reply = TimelineReply {
             scheme: "tlp".to_owned(),
             l1pf: "ipcp".to_owned(),
-            runs: vec![("bfs.urand".to_owned(), timeline)],
+            runs: vec![WorkloadTimeline {
+                workload: "bfs.urand".to_owned(),
+                timeline,
+            }],
         };
         let back = TimelineReply::decode(&reply.encode()).expect("decodes");
         assert_eq!(back, reply);

@@ -20,8 +20,8 @@ use tlp_harness::{Harness, RunCell, SessionError};
 use tlp_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::protocol::{
-    read_frame, write_frame, CellFrame, ErrorFrame, FrameKind, StatsFrame, SummaryFrame,
-    SweepRequest, TimelineQuery, TimelineReply,
+    read_frame, write_frame, CellFrame, ErrorFrame, Frame, FrameKind, StatsFrame, SummaryFrame,
+    SweepRequest, TimelineQuery, TimelineReply, WorkloadTimeline,
 };
 
 /// The daemon's own instrumentation, on a dedicated registry so a STATS
@@ -184,19 +184,15 @@ impl ServerHandle {
     /// Stops accepting connections and joins the accept thread.
     /// Connections already being handled run to completion on their own
     /// threads.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
@@ -384,7 +380,10 @@ fn answer_timeline(
     let runs = harness
         .timelines(&cells, tcfg)
         .into_iter()
-        .map(|r| (r.workload, (*r.timeline).clone()))
+        .map(|r| WorkloadTimeline {
+            workload: r.workload,
+            timeline: (*r.timeline).clone(),
+        })
         .collect();
     let reply = TimelineReply {
         scheme: query.scheme.clone(),

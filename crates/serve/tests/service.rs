@@ -8,7 +8,9 @@ use std::sync::Barrier;
 
 use tlp_harness::{Harness, RunConfig};
 use tlp_serve::protocol::{read_frame, write_frame};
-use tlp_serve::{scheme_result, Client, ErrorFrame, FrameKind, ServeError, Server, SweepRequest};
+use tlp_serve::{
+    scheme_result, Client, ErrorFrame, Frame, FrameKind, ServeError, Server, SweepRequest,
+};
 
 fn test_server() -> (tlp_serve::ServerHandle, std::net::SocketAddr) {
     let mut rc = RunConfig::test();

@@ -1,19 +1,23 @@
-//! Lossless (de)serialization of [`SimReport`] for the harness's on-disk
-//! result cache.
+//! The workspace's one JSON codec. The result cache's report and
+//! timeline entries, `tlp-serve`'s protocol payloads and the `--profile`
+//! artifact are all [`Value`] trees parsed by [`parse_value`] and written
+//! by [`Value::render`].
 //!
-//! The workspace builds offline with no serialization framework, so this
-//! module hand-rolls the JSON codec. The format is what a derived
-//! `serde_json` encoding would look like:
-//! one object per struct, field names as keys, `[u64; 4]` arrays as JSON
-//! arrays. Every counter in a report is a `u64` and round-trips exactly;
-//! there are no floats in the format, so the codec is lossless by
-//! construction (pinned by `report_roundtrip` property tests).
+//! The workspace builds offline with no serialization framework, so the
+//! codec is hand-rolled, and each serialized type states its format in
+//! one place: [`codec!`](crate::codec!) lists a struct's fields once, in
+//! the order they are written, and derives both directions of the
+//! [`Codec`] trait from that list. The format is what a derived
+//! `serde_json` encoding would look like: one object per struct, field
+//! names as keys, `Vec`s and fixed-size arrays as JSON arrays. Every
+//! counter in a report is a `u64` and round-trips exactly; there are no
+//! floats in the format, so the codec is lossless by construction
+//! (pinned by round-trip property tests, and byte for byte by the
+//! `codec_golden` fixtures).
 //!
-//! The generic [`Value`] layer ([`parse_value`], [`escape`],
-//! [`report_from_value`]) is public: `tlp-serve` builds its
-//! length-prefixed protocol payloads (requests, per-cell result frames,
-//! summaries) on this same codec instead of inventing a second wire
-//! format.
+//! Decoding looks fields up by name, so an object may carry fields its
+//! type does not read; a missing or mistyped field is a [`SerialError`]
+//! naming it.
 
 use std::fmt;
 
@@ -21,11 +25,13 @@ use crate::stats::{
     CacheStats, CoreReport, CoreStats, DramStats, OffChipStats, PrefetchStats, SimReport,
 };
 use crate::victim::VictimStats;
+use tlp_timeline::{Counters, JourneyRecord, Timeline, WindowSample};
 
-/// A malformed cache file: where parsing stopped and why.
+/// A malformed cache file or payload: where parsing stopped and why.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SerialError {
-    /// Byte offset the parser had reached.
+    /// Byte offset the parser had reached (0 for a well-formed document
+    /// of the wrong shape).
     pub offset: usize,
     /// What went wrong.
     pub message: String,
@@ -39,12 +45,21 @@ impl fmt::Display for SerialError {
 
 impl std::error::Error for SerialError {}
 
+/// An error in a well-formed document's shape.
+fn shape_error(message: String) -> SerialError {
+    SerialError { offset: 0, message }
+}
+
+fn missing(field: &str) -> SerialError {
+    shape_error(format!("missing or mistyped field '{field}'"))
+}
+
 // ---------------------------------------------------------------------------
-// Encoding
+// Values
 // ---------------------------------------------------------------------------
 
 /// Escapes `s` as a JSON string literal (including the surrounding
-/// quotes) — the building block for hand-assembled payloads.
+/// quotes).
 #[must_use]
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -67,165 +82,6 @@ fn esc(s: &str, out: &mut String) {
     }
     out.push('"');
 }
-
-/// Incremental JSON-object writer (fields in declaration order).
-struct ObjWriter {
-    out: String,
-    first: bool,
-}
-
-impl ObjWriter {
-    fn new() -> Self {
-        Self {
-            out: String::from("{"),
-            first: true,
-        }
-    }
-
-    fn key(&mut self, name: &str) {
-        if !self.first {
-            self.out.push(',');
-        }
-        self.first = false;
-        esc(name, &mut self.out);
-        self.out.push(':');
-    }
-
-    fn num(&mut self, name: &str, v: u64) {
-        self.key(name);
-        self.out.push_str(&v.to_string());
-    }
-
-    fn arr4(&mut self, name: &str, v: &[u64; 4]) {
-        self.key(name);
-        self.out.push('[');
-        for (i, x) in v.iter().enumerate() {
-            if i > 0 {
-                self.out.push(',');
-            }
-            self.out.push_str(&x.to_string());
-        }
-        self.out.push(']');
-    }
-
-    fn raw(&mut self, name: &str, v: &str) {
-        self.key(name);
-        self.out.push_str(v);
-    }
-
-    fn str_field(&mut self, name: &str, v: &str) {
-        self.key(name);
-        esc(v, &mut self.out);
-    }
-
-    fn finish(mut self) -> String {
-        self.out.push('}');
-        self.out
-    }
-}
-
-fn cache_stats_json(s: &CacheStats) -> String {
-    let mut o = ObjWriter::new();
-    o.num("demand_hits", s.demand_hits);
-    o.num("demand_misses", s.demand_misses);
-    o.num("prefetch_hits", s.prefetch_hits);
-    o.num("prefetch_misses", s.prefetch_misses);
-    o.num("prefetch_fills", s.prefetch_fills);
-    o.num("prefetch_useful", s.prefetch_useful);
-    o.num("prefetch_useless", s.prefetch_useless);
-    o.num("writebacks", s.writebacks);
-    o.num("mshr_stalls", s.mshr_stalls);
-    o.finish()
-}
-
-fn dram_stats_json(s: &DramStats) -> String {
-    let mut o = ObjWriter::new();
-    o.num("reads", s.reads);
-    o.num("spec_reads", s.spec_reads);
-    o.num("writes", s.writes);
-    o.num("row_hits", s.row_hits);
-    o.num("row_conflicts", s.row_conflicts);
-    o.num("read_queue_full", s.read_queue_full);
-    o.num("spec_dropped", s.spec_dropped);
-    o.num("spec_consumed", s.spec_consumed);
-    o.num("spec_wasted", s.spec_wasted);
-    o.finish()
-}
-
-fn offchip_stats_json(s: &OffChipStats) -> String {
-    let mut o = ObjWriter::new();
-    o.num("issued_now", s.issued_now);
-    o.num("tagged_delayed", s.tagged_delayed);
-    o.num("delayed_issued", s.delayed_issued);
-    o.num("predicted_onchip", s.predicted_onchip);
-    o.arr4("issued_outcome", &s.issued_outcome);
-    o.num("missed_offchip", s.missed_offchip);
-    o.num("correct_onchip", s.correct_onchip);
-    o.finish()
-}
-
-fn prefetch_stats_json(s: &PrefetchStats) -> String {
-    let mut o = ObjWriter::new();
-    o.num("candidates", s.candidates);
-    o.num("filtered", s.filtered);
-    o.num("dropped", s.dropped);
-    o.num("issued", s.issued);
-    o.arr4("filled_by_level", &s.filled_by_level);
-    o.arr4("useful_by_level", &s.useful_by_level);
-    o.arr4("useless_by_level", &s.useless_by_level);
-    o.finish()
-}
-
-fn core_stats_json(s: &CoreStats) -> String {
-    let mut o = ObjWriter::new();
-    o.num("instructions", s.instructions);
-    o.num("cycles", s.cycles);
-    o.num("loads", s.loads);
-    o.num("stores", s.stores);
-    o.num("branches", s.branches);
-    o.num("mispredicts", s.mispredicts);
-    o.num("dtlb_misses", s.dtlb_misses);
-    o.num("stlb_misses", s.stlb_misses);
-    o.num("store_forwards", s.store_forwards);
-    o.finish()
-}
-
-fn victim_stats_json(s: &VictimStats) -> String {
-    let mut o = ObjWriter::new();
-    o.num("hits", s.hits);
-    o.num("misses", s.misses);
-    o.num("insertions", s.insertions);
-    o.finish()
-}
-
-fn core_report_json(c: &CoreReport) -> String {
-    let mut o = ObjWriter::new();
-    o.str_field("workload", &c.workload);
-    o.raw("core", &core_stats_json(&c.core));
-    o.raw("l1d", &cache_stats_json(&c.l1d));
-    o.raw("l2", &cache_stats_json(&c.l2));
-    o.raw("offchip", &offchip_stats_json(&c.offchip));
-    o.raw("l1_prefetch", &prefetch_stats_json(&c.l1_prefetch));
-    o.raw("l2_prefetch", &prefetch_stats_json(&c.l2_prefetch));
-    o.finish()
-}
-
-/// Encodes a report as JSON (the on-disk cache format).
-#[must_use]
-pub fn report_to_json(r: &SimReport) -> String {
-    let mut o = ObjWriter::new();
-    let cores: Vec<String> = r.cores.iter().map(core_report_json).collect();
-    o.raw("cores", &format!("[{}]", cores.join(",")));
-    o.raw("llc", &cache_stats_json(&r.llc));
-    o.raw("dram", &dram_stats_json(&r.dram));
-    o.raw("victim", &victim_stats_json(&r.victim));
-    o.num("total_cycles", r.total_cycles);
-    o.finish()
-}
-
-// ---------------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------------
 
 /// A parsed JSON value (only the shapes the cache and service formats
 /// use: unsigned integers, strings, arrays, objects).
@@ -255,6 +111,7 @@ const MAX_DEPTH: usize = 64;
 /// and objects nested more than 64 deep.
 pub fn parse_value(text: &str) -> Result<Value, SerialError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -268,6 +125,7 @@ pub fn parse_value(text: &str) -> Result<Value, SerialError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -333,8 +191,7 @@ impl<'a> Parser<'a> {
         while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
-        match text.parse::<u64>() {
+        match self.text[start..self.pos].parse::<u64>() {
             Ok(n) => Ok(Value::Num(n)),
             Err(_) => self.err("integer out of u64 range"),
         }
@@ -344,13 +201,23 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote or
+            // backslash in one step. Both are ASCII, so the run ends on a
+            // character boundary of the (already valid UTF-8) input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.bytes.get(self.pos).copied() {
                 None => return self.err("unterminated string"),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped at a backslash.
                     self.pos += 1;
                     match self.bytes.get(self.pos).copied() {
                         Some(b'"') => out.push('"'),
@@ -361,9 +228,8 @@ impl<'a> Parser<'a> {
                         Some(b'/') => out.push('/'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .and_then(char::from_u32);
                             match hex {
@@ -377,19 +243,6 @@ impl<'a> Parser<'a> {
                         _ => return self.err("bad escape"),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| SerialError {
-                            offset: self.pos,
-                            message: "invalid UTF-8".to_owned(),
-                        })?
-                        .chars()
-                        .next()
-                        .expect("non-empty checked above");
-                    out.push(s);
-                    self.pos += s.len_utf8();
                 }
             }
         }
@@ -439,13 +292,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn missing(field: &str) -> SerialError {
-    SerialError {
-        offset: 0,
-        message: format!("missing or mistyped field '{field}'"),
-    }
-}
-
 impl Value {
     /// The fields of an object value.
     ///
@@ -479,10 +325,7 @@ impl Value {
     ///
     /// Returns [`SerialError`] when the field is absent or not a number.
     pub fn u64_field(&self, name: &str) -> Result<u64, SerialError> {
-        match self.field(name)? {
-            Value::Num(n) => Ok(*n),
-            _ => Err(missing(name)),
-        }
+        decode_field(self, name)
     }
 
     /// A string field of an object value.
@@ -491,10 +334,7 @@ impl Value {
     ///
     /// Returns [`SerialError`] when the field is absent or not a string.
     pub fn str_field(&self, name: &str) -> Result<String, SerialError> {
-        match self.field(name)? {
-            Value::Str(s) => Ok(s.clone()),
-            _ => Err(missing(name)),
-        }
+        decode_field(self, name)
     }
 
     /// An array field of an object value.
@@ -546,109 +386,160 @@ impl Value {
             }
         }
     }
+}
 
-    fn arr4_field(&self, name: &str) -> Result<[u64; 4], SerialError> {
-        let Value::Arr(items) = self.field(name)? else {
-            return Err(missing(name));
-        };
-        if items.len() != 4 {
-            return Err(missing(name));
+// ---------------------------------------------------------------------------
+// Typed codecs
+// ---------------------------------------------------------------------------
+
+/// A type with a JSON form: [`Codec::to_value`] and [`Codec::from_value`]
+/// are inverses. Structs get both from one field list with
+/// [`codec!`](crate::codec!).
+pub trait Codec: Sized {
+    /// The value's JSON tree.
+    fn to_value(&self) -> Value;
+
+    /// Rebuilds a value from its JSON tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SerialError`] when `v` does not have this type's shape.
+    fn from_value(v: &Value) -> Result<Self, SerialError>;
+}
+
+impl Codec for u64 {
+    fn to_value(&self) -> Value {
+        Value::Num(*self)
+    }
+
+    fn from_value(v: &Value) -> Result<Self, SerialError> {
+        match v {
+            Value::Num(n) => Ok(*n),
+            _ => Err(shape_error("expected an integer".to_owned())),
         }
-        let mut out = [0u64; 4];
-        for (slot, item) in out.iter_mut().zip(items) {
-            match item {
-                Value::Num(n) => *slot = *n,
-                _ => return Err(missing(name)),
-            }
-        }
-        Ok(out)
     }
 }
 
-fn cache_stats_from(v: &Value) -> Result<CacheStats, SerialError> {
-    Ok(CacheStats {
-        demand_hits: v.u64_field("demand_hits")?,
-        demand_misses: v.u64_field("demand_misses")?,
-        prefetch_hits: v.u64_field("prefetch_hits")?,
-        prefetch_misses: v.u64_field("prefetch_misses")?,
-        prefetch_fills: v.u64_field("prefetch_fills")?,
-        prefetch_useful: v.u64_field("prefetch_useful")?,
-        prefetch_useless: v.u64_field("prefetch_useless")?,
-        writebacks: v.u64_field("writebacks")?,
-        mshr_stalls: v.u64_field("mshr_stalls")?,
-    })
+impl Codec for String {
+    fn to_value(&self) -> Value {
+        Value::Str(self.clone())
+    }
+
+    fn from_value(v: &Value) -> Result<Self, SerialError> {
+        match v {
+            Value::Str(s) => Ok(s.clone()),
+            _ => Err(shape_error("expected a string".to_owned())),
+        }
+    }
 }
 
-fn dram_stats_from(v: &Value) -> Result<DramStats, SerialError> {
-    Ok(DramStats {
-        reads: v.u64_field("reads")?,
-        spec_reads: v.u64_field("spec_reads")?,
-        writes: v.u64_field("writes")?,
-        row_hits: v.u64_field("row_hits")?,
-        row_conflicts: v.u64_field("row_conflicts")?,
-        read_queue_full: v.u64_field("read_queue_full")?,
-        spec_dropped: v.u64_field("spec_dropped")?,
-        spec_consumed: v.u64_field("spec_consumed")?,
-        spec_wasted: v.u64_field("spec_wasted")?,
-    })
+impl<T: Codec> Codec for Vec<T> {
+    fn to_value(&self) -> Value {
+        Value::Arr(self.iter().map(Codec::to_value).collect())
+    }
+
+    fn from_value(v: &Value) -> Result<Self, SerialError> {
+        match v {
+            Value::Arr(items) => items.iter().map(T::from_value).collect(),
+            _ => Err(shape_error("expected an array".to_owned())),
+        }
+    }
 }
 
-fn offchip_stats_from(v: &Value) -> Result<OffChipStats, SerialError> {
-    Ok(OffChipStats {
-        issued_now: v.u64_field("issued_now")?,
-        tagged_delayed: v.u64_field("tagged_delayed")?,
-        delayed_issued: v.u64_field("delayed_issued")?,
-        predicted_onchip: v.u64_field("predicted_onchip")?,
-        issued_outcome: v.arr4_field("issued_outcome")?,
-        missed_offchip: v.u64_field("missed_offchip")?,
-        correct_onchip: v.u64_field("correct_onchip")?,
-    })
+impl<T: Codec, const N: usize> Codec for [T; N] {
+    fn to_value(&self) -> Value {
+        Value::Arr(self.iter().map(Codec::to_value).collect())
+    }
+
+    fn from_value(v: &Value) -> Result<Self, SerialError> {
+        Vec::<T>::from_value(v)?
+            .try_into()
+            .map_err(|_| shape_error(format!("expected an array of {N}")))
+    }
 }
 
-fn prefetch_stats_from(v: &Value) -> Result<PrefetchStats, SerialError> {
-    Ok(PrefetchStats {
-        candidates: v.u64_field("candidates")?,
-        filtered: v.u64_field("filtered")?,
-        dropped: v.u64_field("dropped")?,
-        issued: v.u64_field("issued")?,
-        filled_by_level: v.arr4_field("filled_by_level")?,
-        useful_by_level: v.arr4_field("useful_by_level")?,
-        useless_by_level: v.arr4_field("useless_by_level")?,
-    })
+/// Decodes field `name` of object `v`; an error inside the field names
+/// it.
+///
+/// # Errors
+///
+/// Returns [`SerialError`] when the field is absent or does not decode.
+pub fn decode_field<T: Codec>(v: &Value, name: &str) -> Result<T, SerialError> {
+    T::from_value(v.field(name)?).map_err(|e| shape_error(format!("in '{name}': {}", e.message)))
 }
 
-fn core_stats_from(v: &Value) -> Result<CoreStats, SerialError> {
-    Ok(CoreStats {
-        instructions: v.u64_field("instructions")?,
-        cycles: v.u64_field("cycles")?,
-        loads: v.u64_field("loads")?,
-        stores: v.u64_field("stores")?,
-        branches: v.u64_field("branches")?,
-        mispredicts: v.u64_field("mispredicts")?,
-        dtlb_misses: v.u64_field("dtlb_misses")?,
-        stlb_misses: v.u64_field("stlb_misses")?,
-        store_forwards: v.u64_field("store_forwards")?,
-    })
+/// Implements [`Codec`] for each listed struct from one list of its
+/// fields, in the order they are written: `codec! { Point { x, y } }`
+/// encodes as `{"x":..,"y":..}` and decodes each field by name with its
+/// own [`Codec`]. A list must name every field of its struct, or the
+/// decoder's struct literal does not compile.
+#[macro_export]
+macro_rules! codec {
+    ($($ty:ty { $($field:ident),+ $(,)? })+) => {$(
+        impl $crate::serial::Codec for $ty {
+            fn to_value(&self) -> $crate::serial::Value {
+                $crate::serial::Value::Obj(vec![$((
+                    stringify!($field).to_owned(),
+                    $crate::serial::Codec::to_value(&self.$field),
+                )),+])
+            }
+
+            fn from_value(
+                v: &$crate::serial::Value,
+            ) -> ::std::result::Result<Self, $crate::serial::SerialError> {
+                Ok(Self {
+                    $($field: $crate::serial::decode_field(v, stringify!($field))?,)+
+                })
+            }
+        }
+    )+};
 }
 
-fn victim_stats_from(v: &Value) -> Result<VictimStats, SerialError> {
-    Ok(VictimStats {
-        hits: v.u64_field("hits")?,
-        misses: v.u64_field("misses")?,
-        insertions: v.u64_field("insertions")?,
-    })
+// The result cache's report and timeline formats.
+codec! {
+    SimReport { cores, llc, dram, victim, total_cycles }
+    CoreReport { workload, core, l1d, l2, offchip, l1_prefetch, l2_prefetch }
+    CoreStats {
+        instructions, cycles, loads, stores, branches, mispredicts, dtlb_misses, stlb_misses,
+        store_forwards,
+    }
+    CacheStats {
+        demand_hits, demand_misses, prefetch_hits, prefetch_misses, prefetch_fills,
+        prefetch_useful, prefetch_useless, writebacks, mshr_stalls,
+    }
+    OffChipStats {
+        issued_now, tagged_delayed, delayed_issued, predicted_onchip, issued_outcome,
+        missed_offchip, correct_onchip,
+    }
+    PrefetchStats {
+        candidates, filtered, dropped, issued, filled_by_level, useful_by_level, useless_by_level,
+    }
+    DramStats {
+        reads, spec_reads, writes, row_hits, row_conflicts, read_queue_full, spec_dropped,
+        spec_consumed, spec_wasted,
+    }
+    VictimStats { hits, misses, insertions }
+
+    Timeline {
+        window_cycles, journey_every, start_cycle, end_cycle, windows_dropped, journeys_dropped,
+        windows, journeys,
+    }
+    WindowSample { start_cycle, end_cycle, counters, rob_occupancy, mshr_occupancy }
+    Counters {
+        instructions, l1d_misses, l2_misses, llc_misses, pf_issued, pf_useful, pf_useless,
+        pf_filtered, offchip_issued, offchip_accurate, offchip_missed, offchip_predicted_onchip,
+        offchip_correct_onchip, dram_reads, dram_writes, dram_row_hits, dram_row_conflicts,
+    }
+    JourneyRecord {
+        core, ordinal, pc, vaddr, dispatch, l1_at, l2_at, dram_queue_at, bank_at, fill_at,
+        offchip_decision, offchip_valid, filter_seen, served_level,
+    }
 }
 
-fn core_report_from(v: &Value) -> Result<CoreReport, SerialError> {
-    Ok(CoreReport {
-        workload: v.str_field("workload")?,
-        core: core_stats_from(v.field("core")?)?,
-        l1d: cache_stats_from(v.field("l1d")?)?,
-        l2: cache_stats_from(v.field("l2")?)?,
-        offchip: offchip_stats_from(v.field("offchip")?)?,
-        l1_prefetch: prefetch_stats_from(v.field("l1_prefetch")?)?,
-        l2_prefetch: prefetch_stats_from(v.field("l2_prefetch")?)?,
-    })
+/// Encodes a report as JSON (the on-disk cache format).
+#[must_use]
+pub fn report_to_json(r: &SimReport) -> String {
+    r.to_value().render()
 }
 
 /// Decodes a report from the on-disk cache format.
@@ -659,203 +550,13 @@ fn core_report_from(v: &Value) -> Result<CoreReport, SerialError> {
 /// a required field (e.g. a cache file written by an incompatible
 /// version).
 pub fn report_from_json(text: &str) -> Result<SimReport, SerialError> {
-    report_from_value(&parse_value(text)?)
-}
-
-/// Decodes a report from an already-parsed [`Value`] (e.g. one embedded
-/// in a `tlp-serve` result frame).
-///
-/// # Errors
-///
-/// Returns [`SerialError`] when the value lacks a required field.
-pub fn report_from_value(root: &Value) -> Result<SimReport, SerialError> {
-    let Value::Arr(core_values) = root.field("cores")? else {
-        return Err(missing("cores"));
-    };
-    let cores = core_values
-        .iter()
-        .map(core_report_from)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(SimReport {
-        cores,
-        llc: cache_stats_from(root.field("llc")?)?,
-        dram: dram_stats_from(root.field("dram")?)?,
-        victim: victim_stats_from(root.field("victim")?)?,
-        total_cycles: root.u64_field("total_cycles")?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Timeline artifacts
-// ---------------------------------------------------------------------------
-
-use tlp_timeline::{Counters, JourneyRecord, Timeline, WindowSample};
-
-fn counters_value(c: &Counters) -> Value {
-    Value::Obj(vec![
-        ("instructions".into(), Value::Num(c.instructions)),
-        ("l1d_misses".into(), Value::Num(c.l1d_misses)),
-        ("l2_misses".into(), Value::Num(c.l2_misses)),
-        ("llc_misses".into(), Value::Num(c.llc_misses)),
-        ("pf_issued".into(), Value::Num(c.pf_issued)),
-        ("pf_useful".into(), Value::Num(c.pf_useful)),
-        ("pf_useless".into(), Value::Num(c.pf_useless)),
-        ("pf_filtered".into(), Value::Num(c.pf_filtered)),
-        ("offchip_issued".into(), Value::Num(c.offchip_issued)),
-        ("offchip_accurate".into(), Value::Num(c.offchip_accurate)),
-        ("offchip_missed".into(), Value::Num(c.offchip_missed)),
-        (
-            "offchip_predicted_onchip".into(),
-            Value::Num(c.offchip_predicted_onchip),
-        ),
-        (
-            "offchip_correct_onchip".into(),
-            Value::Num(c.offchip_correct_onchip),
-        ),
-        ("dram_reads".into(), Value::Num(c.dram_reads)),
-        ("dram_writes".into(), Value::Num(c.dram_writes)),
-        ("dram_row_hits".into(), Value::Num(c.dram_row_hits)),
-        (
-            "dram_row_conflicts".into(),
-            Value::Num(c.dram_row_conflicts),
-        ),
-    ])
-}
-
-fn counters_from(v: &Value) -> Result<Counters, SerialError> {
-    Ok(Counters {
-        instructions: v.u64_field("instructions")?,
-        l1d_misses: v.u64_field("l1d_misses")?,
-        l2_misses: v.u64_field("l2_misses")?,
-        llc_misses: v.u64_field("llc_misses")?,
-        pf_issued: v.u64_field("pf_issued")?,
-        pf_useful: v.u64_field("pf_useful")?,
-        pf_useless: v.u64_field("pf_useless")?,
-        pf_filtered: v.u64_field("pf_filtered")?,
-        offchip_issued: v.u64_field("offchip_issued")?,
-        offchip_accurate: v.u64_field("offchip_accurate")?,
-        offchip_missed: v.u64_field("offchip_missed")?,
-        offchip_predicted_onchip: v.u64_field("offchip_predicted_onchip")?,
-        offchip_correct_onchip: v.u64_field("offchip_correct_onchip")?,
-        dram_reads: v.u64_field("dram_reads")?,
-        dram_writes: v.u64_field("dram_writes")?,
-        dram_row_hits: v.u64_field("dram_row_hits")?,
-        dram_row_conflicts: v.u64_field("dram_row_conflicts")?,
-    })
-}
-
-fn window_value(w: &WindowSample) -> Value {
-    Value::Obj(vec![
-        ("start_cycle".into(), Value::Num(w.start_cycle)),
-        ("end_cycle".into(), Value::Num(w.end_cycle)),
-        ("counters".into(), counters_value(&w.counters)),
-        ("rob_occupancy".into(), Value::Num(w.rob_occupancy)),
-        ("mshr_occupancy".into(), Value::Num(w.mshr_occupancy)),
-    ])
-}
-
-fn window_from(v: &Value) -> Result<WindowSample, SerialError> {
-    Ok(WindowSample {
-        start_cycle: v.u64_field("start_cycle")?,
-        end_cycle: v.u64_field("end_cycle")?,
-        counters: counters_from(v.field("counters")?)?,
-        rob_occupancy: v.u64_field("rob_occupancy")?,
-        mshr_occupancy: v.u64_field("mshr_occupancy")?,
-    })
-}
-
-fn journey_value(j: &JourneyRecord) -> Value {
-    Value::Obj(vec![
-        ("core".into(), Value::Num(j.core)),
-        ("ordinal".into(), Value::Num(j.ordinal)),
-        ("pc".into(), Value::Num(j.pc)),
-        ("vaddr".into(), Value::Num(j.vaddr)),
-        ("dispatch".into(), Value::Num(j.dispatch)),
-        ("l1_at".into(), Value::Num(j.l1_at)),
-        ("l2_at".into(), Value::Num(j.l2_at)),
-        ("dram_queue_at".into(), Value::Num(j.dram_queue_at)),
-        ("bank_at".into(), Value::Num(j.bank_at)),
-        ("fill_at".into(), Value::Num(j.fill_at)),
-        ("offchip_decision".into(), Value::Num(j.offchip_decision)),
-        ("offchip_valid".into(), Value::Num(j.offchip_valid)),
-        ("filter_seen".into(), Value::Num(j.filter_seen)),
-        ("served_level".into(), Value::Num(j.served_level)),
-    ])
-}
-
-fn journey_from(v: &Value) -> Result<JourneyRecord, SerialError> {
-    Ok(JourneyRecord {
-        core: v.u64_field("core")?,
-        ordinal: v.u64_field("ordinal")?,
-        pc: v.u64_field("pc")?,
-        vaddr: v.u64_field("vaddr")?,
-        dispatch: v.u64_field("dispatch")?,
-        l1_at: v.u64_field("l1_at")?,
-        l2_at: v.u64_field("l2_at")?,
-        dram_queue_at: v.u64_field("dram_queue_at")?,
-        bank_at: v.u64_field("bank_at")?,
-        fill_at: v.u64_field("fill_at")?,
-        offchip_decision: v.u64_field("offchip_decision")?,
-        offchip_valid: v.u64_field("offchip_valid")?,
-        filter_seen: v.u64_field("filter_seen")?,
-        served_level: v.u64_field("served_level")?,
-    })
-}
-
-/// Encodes a timeline as a [`Value`] (for embedding in harness artifacts
-/// and `tlp-serve` frames).
-#[must_use]
-pub fn timeline_value(t: &Timeline) -> Value {
-    Value::Obj(vec![
-        ("window_cycles".into(), Value::Num(t.window_cycles)),
-        ("journey_every".into(), Value::Num(t.journey_every)),
-        ("start_cycle".into(), Value::Num(t.start_cycle)),
-        ("end_cycle".into(), Value::Num(t.end_cycle)),
-        ("windows_dropped".into(), Value::Num(t.windows_dropped)),
-        ("journeys_dropped".into(), Value::Num(t.journeys_dropped)),
-        (
-            "windows".into(),
-            Value::Arr(t.windows.iter().map(window_value).collect()),
-        ),
-        (
-            "journeys".into(),
-            Value::Arr(t.journeys.iter().map(journey_value).collect()),
-        ),
-    ])
+    SimReport::from_value(&parse_value(text)?)
 }
 
 /// Encodes a timeline as JSON (the on-disk blob-cache format).
 #[must_use]
 pub fn timeline_to_json(t: &Timeline) -> String {
-    timeline_value(t).render()
-}
-
-/// Decodes a timeline from an already-parsed [`Value`].
-///
-/// # Errors
-///
-/// Returns [`SerialError`] when the value lacks a required field.
-pub fn timeline_from_value(root: &Value) -> Result<Timeline, SerialError> {
-    let windows = root
-        .arr_field("windows")?
-        .iter()
-        .map(window_from)
-        .collect::<Result<Vec<_>, _>>()?;
-    let journeys = root
-        .arr_field("journeys")?
-        .iter()
-        .map(journey_from)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Timeline {
-        window_cycles: root.u64_field("window_cycles")?,
-        journey_every: root.u64_field("journey_every")?,
-        start_cycle: root.u64_field("start_cycle")?,
-        end_cycle: root.u64_field("end_cycle")?,
-        windows,
-        journeys,
-        windows_dropped: root.u64_field("windows_dropped")?,
-        journeys_dropped: root.u64_field("journeys_dropped")?,
-    })
+    t.to_value().render()
 }
 
 /// Decodes a timeline from its JSON blob-cache format.
@@ -864,7 +565,7 @@ pub fn timeline_from_value(root: &Value) -> Result<Timeline, SerialError> {
 ///
 /// Returns [`SerialError`] on malformed input (e.g. a truncated blob).
 pub fn timeline_from_json(text: &str) -> Result<Timeline, SerialError> {
-    timeline_from_value(&parse_value(text)?)
+    Timeline::from_value(&parse_value(text)?)
 }
 
 #[cfg(test)]
@@ -1007,6 +708,27 @@ mod tests {
         // A report blob is not a timeline blob.
         let report = report_to_json(&SimReport::default());
         assert!(timeline_from_json(&report).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 1 MiB of mixed one-, two-, three- and four-byte characters and
+        // escapes. A parser that re-validated the rest of the input for
+        // each character took 4.7 minutes on this in a debug build (2-vCPU
+        // x86-64 host).
+        let piece = "plain ascii é→😀 \"quoted\" back\\slash\n\u{1}";
+        let big = piece.repeat((1 << 20) / piece.len());
+        let text = escape(&big);
+        let t0 = std::time::Instant::now();
+        let parsed = parse_value(&text).expect("parses");
+        let took = t0.elapsed();
+        assert_eq!(parsed, Value::Str(big));
+        assert!(took.as_secs_f64() < 1.0, "1 MiB string took {took:?}");
+        // `\uXXXX` escapes decode to their character, multi-byte or not.
+        assert_eq!(
+            parse_value("\"\\u00e9\\u2192\\u0001x\"").expect("parses"),
+            Value::Str("é→\u{1}x".to_owned())
+        );
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! estimate the full run as the weight-blended combination of the region
 //! results. Rather than hand-maintaining a field-by-field merge that
 //! would rot as `SimReport` grows, the merge works generically over the
-//! [`tlp_sim::serial`] JSON tree — every numeric leaf is a counter, so a
+//! report's [`Codec`] value tree — every numeric leaf is a counter, so a
 //! weighted sum of leaves *is* the weighted report.
 
-use tlp_sim::serial::{self, Value};
+use tlp_sim::serial::{Codec, Value};
 use tlp_sim::SimReport;
 
 /// Merges region reports into one estimate: every numeric leaf becomes
@@ -23,13 +23,10 @@ use tlp_sim::SimReport;
 pub fn weighted_merge(reports: &[SimReport], weights: &[f64]) -> SimReport {
     assert!(!reports.is_empty(), "need at least one region report");
     assert_eq!(reports.len(), weights.len(), "one weight per report");
-    let values: Vec<Value> = reports
-        .iter()
-        .map(|r| serial::parse_value(&serial::report_to_json(r)).expect("own codec parses"))
-        .collect();
+    let values: Vec<Value> = reports.iter().map(Codec::to_value).collect();
     let refs: Vec<&Value> = values.iter().collect();
     let merged = merge(&refs, weights);
-    serial::report_from_value(&merged).expect("merged tree keeps the report shape")
+    SimReport::from_value(&merged).expect("merged tree keeps the report shape")
 }
 
 fn merge(values: &[&Value], weights: &[f64]) -> Value {
@@ -94,6 +91,7 @@ fn merge(values: &[&Value], weights: &[f64]) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tlp_sim::serial;
     use tlp_sim::{System, SystemConfig};
     use tlp_trace::{Reg, TraceRecord, VecTrace};
 

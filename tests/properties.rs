@@ -454,3 +454,280 @@ proptest! {
         prop_assert_eq!(report, back);
     }
 }
+
+// ---------------------------------------------------------------------------
+// The JSON codec: typed round-trips, and decoders fed hostile bytes.
+// ---------------------------------------------------------------------------
+
+use tlp::harness::EngineStats;
+use tlp::serve::protocol::{
+    read_frame, CellFrame, ErrorFrame, Frame, StatsFrame, SummaryFrame, SweepRequest,
+    TimelineQuery, TimelineReply, WorkloadTimeline,
+};
+use tlp::sim::serial::{parse_value, timeline_from_json, timeline_to_json, Codec, Value};
+use tlp::timeline::{Counters, JourneyRecord, Timeline, WindowSample};
+
+/// Fills a timeline with `nwin` windows and `njour` journeys of counter
+/// values drawn from `vals`.
+fn synth_timeline(nwin: usize, njour: usize, vals: &[u64]) -> Timeline {
+    let mut it = vals.iter().copied().cycle();
+    let mut next = move || it.next().expect("cycled iterator is infinite");
+    let mut t = Timeline {
+        window_cycles: next(),
+        journey_every: next(),
+        start_cycle: next(),
+        end_cycle: next(),
+        windows_dropped: next(),
+        journeys_dropped: next(),
+        ..Timeline::default()
+    };
+    for _ in 0..nwin {
+        t.windows.push(WindowSample {
+            start_cycle: next(),
+            end_cycle: next(),
+            counters: Counters {
+                instructions: next(),
+                l1d_misses: next(),
+                l2_misses: next(),
+                llc_misses: next(),
+                pf_issued: next(),
+                pf_useful: next(),
+                pf_useless: next(),
+                pf_filtered: next(),
+                offchip_issued: next(),
+                offchip_accurate: next(),
+                offchip_missed: next(),
+                offchip_predicted_onchip: next(),
+                offchip_correct_onchip: next(),
+                dram_reads: next(),
+                dram_writes: next(),
+                dram_row_hits: next(),
+                dram_row_conflicts: next(),
+            },
+            rob_occupancy: next(),
+            mshr_occupancy: next(),
+        });
+    }
+    for _ in 0..njour {
+        t.journeys.push(JourneyRecord {
+            core: next(),
+            ordinal: next(),
+            pc: next(),
+            vaddr: next(),
+            dispatch: next(),
+            l1_at: next(),
+            l2_at: next(),
+            dram_queue_at: next(),
+            bank_at: next(),
+            fill_at: next(),
+            offchip_decision: next(),
+            offchip_valid: next(),
+            filter_seen: next(),
+            served_level: next(),
+        });
+    }
+    t
+}
+
+/// A string of characters that stress the encoder: escapes, a control
+/// character, and one- to four-byte UTF-8.
+fn synth_string(vals: &[u64]) -> String {
+    const CHARS: [char; 10] = ['a', 'Z', ' ', '"', '\\', '\n', '\u{1}', 'é', '→', '😀'];
+    vals.iter()
+        .map(|v| CHARS[*v as usize % CHARS.len()])
+        .collect()
+}
+
+/// A random tree of every shape the codec knows, `depth` levels deep at
+/// most; `vals` picks each node and runs out into numbers.
+fn synth_value(vals: &mut impl Iterator<Item = u64>, depth: usize) -> Value {
+    let v = vals.next().unwrap_or(0);
+    match (v % 4, depth) {
+        (0, _) | (_, 0) => Value::Num(v),
+        (1, _) => Value::Str(synth_string(&[v, v >> 8, v >> 16])),
+        (2, _) => Value::Arr((0..v % 4).map(|_| synth_value(vals, depth - 1)).collect()),
+        _ => Value::Obj(
+            (0..v % 4)
+                .map(|i| (synth_string(&[v >> i]), synth_value(vals, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// One report, one timeline and one payload of each of the seven frame
+/// kinds, built from `vals`.
+struct Encoded {
+    report: SimReport,
+    timeline: Timeline,
+    request: SweepRequest,
+    cell: CellFrame,
+    summary: SummaryFrame,
+    stats: StatsFrame,
+    query: TimelineQuery,
+    reply: TimelineReply,
+    error: ErrorFrame,
+}
+
+impl Encoded {
+    fn synth(ncores: usize, nwin: usize, vals: &[u64]) -> Self {
+        let report = synth_report(ncores, vals);
+        let timeline = synth_timeline(nwin, nwin / 2, vals);
+        let s = |from: usize| synth_string(&vals[from % vals.len()..]);
+        let n = |i: usize| vals[i % vals.len()];
+        Self {
+            request: SweepRequest {
+                scheme: s(1),
+                l1pf: s(2),
+                workloads: (0..nwin).map(s).collect(),
+            },
+            cell: CellFrame {
+                index: n(3),
+                workload: s(4),
+                label: s(5),
+                report: report.clone(),
+            },
+            summary: SummaryFrame {
+                engine: s(6),
+                cells: n(7),
+                stats: EngineStats {
+                    requested: n(8),
+                    mem_hits: n(9),
+                    disk_hits: n(10),
+                    coalesced: n(11),
+                    corrupt: n(12),
+                    evicted: n(13),
+                    simulated: n(14),
+                    deduped: n(15),
+                },
+            },
+            stats: StatsFrame { text: s(16) },
+            query: TimelineQuery {
+                scheme: s(17),
+                l1pf: s(18),
+                workloads: (0..ncores).map(s).collect(),
+                window_cycles: n(19),
+                journey_every: n(20),
+            },
+            reply: TimelineReply {
+                scheme: s(21),
+                l1pf: s(22),
+                runs: (0..ncores)
+                    .map(|i| WorkloadTimeline {
+                        workload: s(i),
+                        timeline: timeline.clone(),
+                    })
+                    .collect(),
+            },
+            error: ErrorFrame { message: s(23) },
+            report,
+            timeline,
+        }
+    }
+
+    /// Every encoding, as bytes.
+    fn payloads(&self) -> Vec<Vec<u8>> {
+        vec![
+            report_to_json(&self.report).into_bytes(),
+            timeline_to_json(&self.timeline).into_bytes(),
+            self.request.encode(),
+            self.cell.encode(),
+            self.summary.encode(),
+            self.stats.encode(),
+            self.query.encode(),
+            self.reply.encode(),
+            self.error.encode(),
+        ]
+    }
+}
+
+/// Feeds `bytes` to every decoder. Each must return `Ok` or `Err`; a
+/// panic fails the property.
+fn decode_everything(bytes: &[u8]) {
+    let text = String::from_utf8_lossy(bytes);
+    let _ = parse_value(&text);
+    let _ = report_from_json(&text);
+    let _ = timeline_from_json(&text);
+    let _ = SweepRequest::decode(bytes);
+    let _ = CellFrame::decode(bytes);
+    let _ = SummaryFrame::decode(bytes);
+    let _ = StatsFrame::decode(bytes);
+    let _ = TimelineQuery::decode(bytes);
+    let _ = TimelineReply::decode(bytes);
+    let _ = ErrorFrame::decode(bytes);
+}
+
+/// The bytes valid payloads are made of, so random input gets past the
+/// first token.
+const JSON_BYTES: &[u8] = b"{}[]:,\"\\0123456789 unproto\xc3\xa9";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Reports, timelines and every frame kind decode to what was
+    /// encoded.
+    #[test]
+    fn codec_roundtrips_reports_timelines_and_frames(
+        ncores in 1usize..5,
+        nwin in 0usize..4,
+        vals in proptest::collection::vec(any::<u64>(), 24..64),
+    ) {
+        let e = Encoded::synth(ncores, nwin, &vals);
+        prop_assert_eq!(&SimReport::from_value(&e.report.to_value()).unwrap(), &e.report);
+        prop_assert_eq!(&Timeline::from_value(&e.timeline.to_value()).unwrap(), &e.timeline);
+        prop_assert_eq!(&timeline_from_json(&timeline_to_json(&e.timeline)).unwrap(), &e.timeline);
+        prop_assert_eq!(&SweepRequest::decode(&e.request.encode()).unwrap(), &e.request);
+        prop_assert_eq!(&CellFrame::decode(&e.cell.encode()).unwrap(), &e.cell);
+        prop_assert_eq!(&SummaryFrame::decode(&e.summary.encode()).unwrap(), &e.summary);
+        prop_assert_eq!(&StatsFrame::decode(&e.stats.encode()).unwrap(), &e.stats);
+        prop_assert_eq!(&TimelineQuery::decode(&e.query.encode()).unwrap(), &e.query);
+        prop_assert_eq!(&TimelineReply::decode(&e.reply.encode()).unwrap(), &e.reply);
+        prop_assert_eq!(&ErrorFrame::decode(&e.error.encode()).unwrap(), &e.error);
+    }
+
+    /// Any value tree parses back from its rendering.
+    #[test]
+    fn value_trees_roundtrip_through_render_and_parse(
+        vals in proptest::collection::vec(any::<u64>(), 1..64),
+    ) {
+        let tree = synth_value(&mut vals.iter().copied(), 6);
+        prop_assert_eq!(parse_value(&tree.render()).unwrap(), tree);
+    }
+
+    /// Random bytes, and random strings over the JSON alphabet, are
+    /// decoded or rejected, never a panic; so is a random byte stream
+    /// read as frames.
+    #[test]
+    fn decoders_survive_random_bytes(
+        raw in proptest::collection::vec(any::<u8>(), 0..128),
+        picks in proptest::collection::vec(any::<usize>(), 0..256),
+    ) {
+        decode_everything(&raw);
+        let jsonish: Vec<u8> = picks.iter().map(|p| JSON_BYTES[p % JSON_BYTES.len()]).collect();
+        decode_everything(&jsonish);
+        let mut stream = raw.as_slice();
+        while let Ok(Some((_, payload))) = read_frame(&mut stream) {
+            decode_everything(&payload);
+        }
+    }
+
+    /// Truncations and single-byte flips of valid payloads are decoded
+    /// or rejected, never a panic.
+    #[test]
+    fn decoders_survive_truncated_and_flipped_payloads(
+        ncores in 1usize..3,
+        vals in proptest::collection::vec(any::<u64>(), 24..40),
+        cuts in proptest::collection::vec(any::<usize>(), 1..4),
+        flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 1..4),
+    ) {
+        for payload in Encoded::synth(ncores, 2, &vals).payloads() {
+            for cut in &cuts {
+                decode_everything(&payload[..cut % payload.len()]);
+            }
+            for (at, mask) in &flips {
+                let mut flipped = payload.clone();
+                flipped[at % payload.len()] ^= mask;
+                decode_everything(&flipped);
+            }
+        }
+    }
+}

@@ -1,22 +1,26 @@
 //! Pins the zero-allocation steady state of the engine's per-cycle
 //! path: once scratch buffers, queues, freelists, and page mappings are
 //! warm, ticking the system must not touch the global allocator at all.
+//! It also pins that reading a protocol frame allocates for the bytes
+//! that arrive, not for the length its header claims.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! warms a bounded working set, snapshots the allocation count, ticks
 //! tens of thousands more cycles, and requires a zero delta. This file
 //! holds exactly one test — a second test running concurrently would
-//! allocate into the same counter.
+//! allocate into the same counters.
 
 use std::alloc::{GlobalAlloc, Layout, System as SysAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use tlp::serve::protocol::{read_frame, FrameKind, MAX_FRAME_BYTES};
 use tlp::sim::engine::{CoreSetup, System};
 use tlp::sim::{SystemConfig, TimelineConfig};
 use tlp::trace::{Reg, TraceRecord, VecTrace};
 use tlp::tracestore::StreamTrace;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;
 
@@ -25,6 +29,7 @@ struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { SysAlloc.alloc(layout) }
     }
 
@@ -34,11 +39,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { SysAlloc.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { SysAlloc.alloc_zeroed(layout) }
     }
 }
@@ -124,4 +131,19 @@ fn steady_state_tick_never_allocates() {
         "streamed steady state allocated {delta} times in 20k cycles"
     );
     let _ = std::fs::remove_dir_all(&dir);
+
+    // A frame header claiming the largest payload, 16 bytes of it, then
+    // EOF: the read is an error, and it allocated for what arrived, not
+    // the 64 MiB the header claimed.
+    let mut wire = vec![FrameKind::Request as u8];
+    wire.extend_from_slice(&MAX_FRAME_BYTES.to_be_bytes());
+    wire.extend_from_slice(&[b'x'; 16]);
+    let before = ALLOC_BYTES.load(Ordering::Relaxed);
+    let result = read_frame(&mut wire.as_slice());
+    let allocated = ALLOC_BYTES.load(Ordering::Relaxed) - before;
+    assert!(result.is_err(), "a truncated frame is an error");
+    assert!(
+        allocated < 1 << 20,
+        "a truncated frame allocated {allocated} bytes"
+    );
 }
