@@ -266,13 +266,25 @@ impl EngineStats {
     /// rate.
     #[must_use]
     pub fn summary_line(&self) -> String {
-        let mut line = String::new();
-        let counters = self.to_value();
-        for (name, value) in counters.obj().expect("a codec struct encodes as an object") {
-            line.push_str(&format!("{name}={} ", value.render()));
-        }
-        format!("{line}hit_rate={:.1}%", self.hit_rate_percent())
+        format!(
+            "{} hit_rate={:.1}%",
+            counters_line(self),
+            self.hit_rate_percent()
+        )
     }
+}
+
+/// A codec struct's fields as space-separated `name=value` pairs, in the
+/// order of its field list: the body of the `# run-engine:` and
+/// `# trace-store:` summary lines.
+pub(crate) fn counters_line(stats: &impl Codec) -> String {
+    let counters = stats.to_value();
+    let fields = counters.obj().expect("a codec struct encodes as an object");
+    let pairs: Vec<String> = fields
+        .iter()
+        .map(|(name, value)| format!("{name}={}", value.render()))
+        .collect();
+    pairs.join(" ")
 }
 
 /// One in-flight cell: the slot every later requester of the same key

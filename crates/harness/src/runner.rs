@@ -13,7 +13,6 @@
 //! cells.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -36,7 +35,7 @@ use crate::cache::{self, DiskCache, EngineStats, ResultCache, RunKey};
 use crate::plugins::builtin_registry;
 use crate::scheme::{L1Pf, ResolvedL1Pf, Scheme};
 use crate::timeline::TimelineRun;
-use crate::tracetier::{TraceTier, TraceTierCounters, TraceTierStats, DEFAULT_TRACE_MEM_CAP};
+use crate::tracetier::{TraceTier, TraceTierStats, DEFAULT_TRACE_MEM_CAP};
 
 /// Simulation budgets and scale for a harness.
 #[derive(Debug, Clone, Copy)]
@@ -247,6 +246,14 @@ impl From<PluginError> for SessionError {
     }
 }
 
+/// A resolved workload trace (see [`Harness::resolve_trace`]).
+enum Trace {
+    /// Records shared through the memory tier.
+    Shared(Arc<Vec<TraceRecord>>),
+    /// A stored TLPT v2 file, streamed from disk.
+    Stream(Box<StreamTrace>),
+}
+
 /// The harness: a private clone of the built-in registry (so custom
 /// registrations never leak across harnesses), cached traces, the
 /// two-tier result cache, and the run engine.
@@ -257,7 +264,6 @@ pub struct Harness {
     workloads: Vec<Arc<dyn Workload>>,
     traces: Mutex<TraceTier>,
     trace_store: Option<Arc<TraceStore>>,
-    tstats: TraceTierCounters,
     cache: ResultCache,
 }
 
@@ -281,7 +287,6 @@ impl Harness {
             workloads: catalog::single_core_set(rc.scale),
             traces: Mutex::new(TraceTier::default()),
             trace_store: None,
-            tstats: TraceTierCounters::default(),
             cache: ResultCache::in_memory(),
         }
     }
@@ -308,8 +313,7 @@ impl Harness {
     /// Adds the content-addressed on-disk trace store under `dir`
     /// (created if absent): fresh captures are persisted as TLPT v2 and
     /// later resolutions — in this process or a cold one — stream the
-    /// stored file back instead of re-capturing. Also caps the in-memory
-    /// trace tier at [`DEFAULT_TRACE_MEM_CAP`] workloads.
+    /// stored file back instead of re-capturing.
     ///
     /// # Errors
     ///
@@ -330,9 +334,15 @@ impl Harness {
     /// evictions, corrupt store files, resident entries).
     #[must_use]
     pub fn trace_stats(&self) -> TraceTierStats {
-        let corrupt = self.trace_store.as_ref().map_or(0, |s| s.corrupt_count());
-        let resident = self.traces.lock().len() as u64;
-        self.tstats.snapshot(corrupt, resident)
+        let m = self.metrics();
+        TraceTierStats {
+            mem_hits: m.counter("trace_tier_mem_hits_total").get(),
+            disk_hits: m.counter("trace_tier_disk_hits_total").get(),
+            captures: m.counter("trace_tier_captures_total").get(),
+            evictions: m.counter("trace_tier_evictions_total").get(),
+            corrupt: self.trace_store.as_ref().map_or(0, |s| s.corrupt_count()),
+            resident: self.traces.lock().len() as u64,
+        }
     }
 
     /// Snapshot of the run-engine counters (requests, hits per tier,
@@ -410,16 +420,7 @@ impl Harness {
     }
 
     /// The trace for a workload, long enough for the configured warmup +
-    /// measurement, resolved memory → disk → capture:
-    ///
-    /// 1. A `trace:` workload ([`Workload::trace_path`]) streams its
-    ///    backing file directly — nothing to capture, nothing to cache.
-    /// 2. The in-memory tier shares the captured records zero-copy.
-    /// 3. The on-disk store (when configured) streams the stored TLPT v2
-    ///    file — replay never materializes the records, and a warm trace
-    ///    dir makes cold-process runs capture nothing.
-    /// 4. Otherwise the workload is captured (and persisted to the store
-    ///    when one is configured).
+    /// measurement, resolved `trace:` file → memory → store → capture.
     ///
     /// # Panics
     ///
@@ -427,6 +428,32 @@ impl Harness {
     /// validation after [`Harness::workload`] vetted it.
     #[must_use]
     pub fn trace_for(&self, w: &Arc<dyn Workload>) -> Box<dyn TraceSource> {
+        match self.resolve_trace(w) {
+            Trace::Shared(recs) => Box::new(VecTrace::looping_shared(w.name().to_owned(), recs)),
+            Trace::Stream(t) => t,
+        }
+    }
+
+    /// Resolves a workload's trace, `trace:` file → memory → store →
+    /// capture:
+    ///
+    /// 1. A `trace:` workload ([`Workload::trace_path`]) streams its
+    ///    backing file directly — nothing to capture, nothing to cache.
+    /// 2. The in-memory tier shares the captured records zero-copy.
+    /// 3. The on-disk store (when configured) streams the stored TLPT v2
+    ///    file — replay never materializes the records, and a warm trace
+    ///    dir makes cold-process runs capture nothing.
+    /// 4. Otherwise the workload is captured into the memory tier and
+    ///    persisted, with its capture-time SimPoints, to the store when
+    ///    one is configured.
+    ///
+    /// A capture is a function of the workload and the budget, so every
+    /// path yields the same records. The walk holds the tier lock only so
+    /// that each workload is captured once per harness. Each step counts
+    /// on [`Harness::metrics`] as `trace_tier_{disk_hits,mem_hits,
+    /// captures,evictions}_total`.
+    fn resolve_trace(&self, w: &Arc<dyn Workload>) -> Trace {
+        let m = self.metrics();
         if let Some(path) = w.trace_path() {
             let t = StreamTrace::open(path).unwrap_or_else(|e| {
                 panic!(
@@ -435,25 +462,34 @@ impl Harness {
                     path.display()
                 )
             });
-            self.tstats.disk_hits.fetch_add(1, Ordering::Relaxed);
-            return Box::new(t);
+            m.counter("trace_tier_disk_hits_total").inc();
+            return Trace::Stream(Box::new(t));
         }
         let name = w.name();
-        {
-            let mut tier = self.traces.lock();
-            if let Some(recs) = tier.touch(name) {
-                self.tstats.mem_hits.fetch_add(1, Ordering::Relaxed);
-                return Box::new(VecTrace::looping_shared(name.to_owned(), recs));
-            }
+        let mut tier = self.traces.lock();
+        if let Some(recs) = tier.touch(name) {
+            m.counter("trace_tier_mem_hits_total").inc();
+            return Trace::Shared(recs);
         }
+        let key = self.capture_key(name);
         if let Some(store) = &self.trace_store {
-            if let TraceLoad::Hit(t) = store.open_trace(self.capture_key(name)) {
-                self.tstats.disk_hits.fetch_add(1, Ordering::Relaxed);
-                return t;
+            if let TraceLoad::Hit(t) = store.open_trace(key) {
+                m.counter("trace_tier_disk_hits_total").inc();
+                return Trace::Stream(t);
             }
         }
-        let recs = self.capture_records(w);
-        Box::new(VecTrace::looping_shared(name.to_owned(), recs))
+        let recs = Arc::new(tlp_trace::capture(w.as_ref(), self.trace_budget()));
+        m.counter("trace_tier_captures_total").inc();
+        if let Some(store) = &self.trace_store {
+            let cfg = BbvConfig::standard();
+            let sps = simpoints_of(&recs, cfg, CAPTURE_SIMPOINT_K, CAPTURE_SIMPOINT_SEED);
+            // A failed write costs a later process a re-capture, nothing more.
+            let _ = store.save(key, name, true, &recs, &sps, cfg.interval);
+        }
+        tier.insert(name.to_owned(), Arc::clone(&recs));
+        m.counter("trace_tier_evictions_total")
+            .add(tier.evict_to(DEFAULT_TRACE_MEM_CAP));
+        Trace::Shared(recs)
     }
 
     /// Capture budget in records: enough for warmup + measurement with
@@ -466,60 +502,6 @@ impl Harness {
     /// capture environment, and budget all feed the content address.
     fn capture_key(&self, name: &str) -> TraceKey {
         TraceKey::from_desc(&capture_desc(&self.env_desc(), name, self.trace_budget()))
-    }
-
-    /// Captures a workload's records, single-flighted under the tier
-    /// lock. `generate` advances a per-workload pass counter that seeds
-    /// the generator, so two workers capturing the same workload
-    /// concurrently (cold cache, several schemes of one workload in
-    /// flight) would interleave passes and record *different* traces —
-    /// nondeterminism that leaks straight into reports. Single-flighting
-    /// the capture keeps the pass sequence, and therefore every report,
-    /// identical to a serial run.
-    ///
-    /// When a store is configured the capture is persisted (with its
-    /// capture-time SimPoints in the footer); only then may the memory
-    /// entry ever be evicted — see [`crate::tracetier`].
-    fn capture_records(&self, w: &Arc<dyn Workload>) -> Arc<Vec<TraceRecord>> {
-        let name = w.name().to_owned();
-        let mut tier = self.traces.lock();
-        if let Some(recs) = tier.touch(&name) {
-            self.tstats.mem_hits.fetch_add(1, Ordering::Relaxed);
-            return recs;
-        }
-        let recs = Arc::new(tlp_trace::source::capture(w.as_ref(), self.trace_budget()));
-        self.tstats.captures.fetch_add(1, Ordering::Relaxed);
-        let mut evictable = false;
-        if let Some(store) = &self.trace_store {
-            let cfg = BbvConfig::standard();
-            let sps = simpoints_of(&recs, cfg, CAPTURE_SIMPOINT_K, CAPTURE_SIMPOINT_SEED);
-            evictable = store
-                .save(
-                    self.capture_key(&name),
-                    &name,
-                    true,
-                    &recs,
-                    &sps,
-                    cfg.interval,
-                )
-                .is_ok();
-        }
-        tier.insert(name, Arc::clone(&recs), evictable);
-        let evicted = tier.evict_to(self.effective_trace_cap());
-        if evicted > 0 {
-            self.tstats.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-        recs
-    }
-
-    /// The memory tier's entry cap: unbounded without a store, since an
-    /// evicted capture could only come back as a different trace.
-    fn effective_trace_cap(&self) -> usize {
-        if self.trace_store.is_some() {
-            DEFAULT_TRACE_MEM_CAP
-        } else {
-            usize::MAX
-        }
     }
 
     /// The run-budget fragment of every cell description: anything here
@@ -830,55 +812,6 @@ impl Harness {
             .collect()
     }
 
-    /// Records plus SimPoints for a workload, resolving through the same
-    /// memory → disk → capture tiers as [`Harness::trace_for`] but
-    /// materializing the records (SimPoint replay slices them). SimPoints
-    /// come from a stored footer when one exists; computing them fresh
-    /// yields the identical set — captures are deterministic per fresh
-    /// process and the k-means seed is fixed — so either path agrees.
-    fn records_and_simpoints(
-        &self,
-        w: &Arc<dyn Workload>,
-    ) -> (Arc<Vec<TraceRecord>>, Vec<SimPoint>) {
-        let cfg = BbvConfig::standard();
-        let compute = |recs: &[TraceRecord]| {
-            simpoints_of(recs, cfg, CAPTURE_SIMPOINT_K, CAPTURE_SIMPOINT_SEED)
-        };
-        // A trace file carries SimPoints in its footer when captured here.
-        let read = |t: &mut StreamTrace| {
-            self.tstats.disk_hits.fetch_add(1, Ordering::Relaxed);
-            let (sps, recs) = (t.simpoints().to_vec(), t.read_records());
-            let sps = if sps.is_empty() { compute(&recs) } else { sps };
-            (Arc::new(recs), sps)
-        };
-        if let Some(path) = w.trace_path() {
-            return read(&mut StreamTrace::open(path).unwrap_or_else(|e| {
-                panic!(
-                    "trace workload '{}': cannot open {}: {e}",
-                    w.name(),
-                    path.display()
-                )
-            }));
-        }
-        {
-            let mut tier = self.traces.lock();
-            if let Some(recs) = tier.touch(w.name()) {
-                self.tstats.mem_hits.fetch_add(1, Ordering::Relaxed);
-                drop(tier);
-                let sps = compute(&recs);
-                return (recs, sps);
-            }
-        }
-        if let Some(store) = &self.trace_store {
-            if let TraceLoad::Hit(mut t) = store.open_trace(self.capture_key(w.name())) {
-                return read(&mut t);
-            }
-        }
-        let recs = self.capture_records(w);
-        let sps = compute(&recs);
-        (recs, sps)
-    }
-
     /// SimPoint-sampled estimate of one single-core cell (paper
     /// methodology): replays the top-`k` SimPoint regions of the
     /// workload's trace (each one BBV interval long) on the cell's
@@ -902,7 +835,11 @@ impl Harness {
             );
         };
         let cfg = BbvConfig::standard();
-        let (recs, mut sps) = self.records_and_simpoints(w);
+        let recs = match self.resolve_trace(w) {
+            Trace::Shared(recs) => recs,
+            Trace::Stream(mut t) => Arc::new(t.read_records()),
+        };
+        let mut sps = simpoints_of(&recs, cfg, CAPTURE_SIMPOINT_K, CAPTURE_SIMPOINT_SEED);
         assert!(
             !sps.is_empty(),
             "trace of {} records is shorter than one SimPoint interval ({})",

@@ -4,38 +4,26 @@
 //! Resolution order (see `Harness::trace_for`) is memory → disk →
 //! capture. The memory tier exists because a sweep touches the same
 //! workload across dozens of schemes; the disk tier exists so a *second
-//! process* (CI rerun, serve-daemon restart) replays the exact captured
-//! records instead of regenerating them.
-//!
-//! # Why eviction needs pinning
-//!
-//! Workload generators advance a per-workload pass counter that seeds
-//! the generator, so capturing the same workload twice in one process
-//! records *different* traces. Evicting a memory entry is therefore only
-//! sound when the records also live in the disk store (a later request
-//! streams the identical bytes back); an entry whose store write failed
-//! — or that was captured with no store configured — is pinned in memory
-//! for the life of the harness.
+//! process* (CI rerun, serve-daemon restart) replays the stored records
+//! instead of regenerating them. A capture is a function of the workload
+//! and the budget, so an evicted trace comes back identical from either
+//! tier below.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tlp_trace::TraceRecord;
 
-/// Default memory-tier capacity (distinct workloads) once a disk store
-/// backs the tier. Without a store the tier is unbounded — eviction
-/// would force a nondeterministic re-capture.
+use crate::cache::counters_line;
+
+/// Memory-tier capacity in distinct workloads.
 pub const DEFAULT_TRACE_MEM_CAP: usize = 16;
 
-/// One memory-tier entry: shared records plus LRU/pinning bookkeeping.
+/// One memory-tier entry: shared records plus their LRU stamp.
 struct MemTrace {
     records: Arc<Vec<TraceRecord>>,
     /// Logical timestamp of the last lookup (tier clock).
     last_use: u64,
-    /// `true` when the identical records are known to be on disk, making
-    /// eviction safe.
-    evictable: bool,
 }
 
 /// LRU map of in-memory traces. Interior mutability is the caller's
@@ -58,40 +46,26 @@ impl TraceTier {
         })
     }
 
-    /// Inserts a freshly captured trace. `evictable` must only be `true`
-    /// when the records were successfully persisted to the disk store.
-    pub(crate) fn insert(&mut self, name: String, records: Arc<Vec<TraceRecord>>, evictable: bool) {
+    /// Inserts a freshly captured trace.
+    pub(crate) fn insert(&mut self, name: String, records: Arc<Vec<TraceRecord>>) {
         self.clock += 1;
-        self.map.insert(
-            name,
-            MemTrace {
-                records,
-                last_use: self.clock,
-                evictable,
-            },
-        );
+        let last_use = self.clock;
+        self.map.insert(name, MemTrace { records, last_use });
     }
 
-    /// Evicts least-recently-used *evictable* entries until the tier
-    /// holds at most `cap` entries (pinned entries never count toward
-    /// eviction candidates, so the tier can exceed `cap` when many pins
-    /// accumulate). Returns the number of evictions.
+    /// Evicts least-recently-used entries until the tier holds at most
+    /// `cap` entries. Returns the number of evictions.
     pub(crate) fn evict_to(&mut self, cap: usize) -> u64 {
         let mut evicted = 0;
         while self.map.len() > cap {
-            let victim = self
+            let lru = self
                 .map
                 .iter()
-                .filter(|(_, e)| e.evictable)
                 .min_by_key(|(_, e)| e.last_use)
-                .map(|(name, _)| name.clone());
-            match victim {
-                Some(name) => {
-                    self.map.remove(&name);
-                    evicted += 1;
-                }
-                None => break,
-            }
+                .map(|(name, _)| name.clone())
+                .expect("a tier over its cap is not empty");
+            self.map.remove(&lru);
+            evicted += 1;
         }
         evicted
     }
@@ -100,15 +74,6 @@ impl TraceTier {
     pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
-}
-
-/// Counters for the trace tier, mirrored into the harness summary line.
-#[derive(Default)]
-pub(crate) struct TraceTierCounters {
-    pub(crate) mem_hits: AtomicU64,
-    pub(crate) disk_hits: AtomicU64,
-    pub(crate) captures: AtomicU64,
-    pub(crate) evictions: AtomicU64,
 }
 
 /// Snapshot of the trace tier's counters.
@@ -129,16 +94,18 @@ pub struct TraceTierStats {
     pub resident: u64,
 }
 
-impl TraceTierCounters {
-    pub(crate) fn snapshot(&self, corrupt: u64, resident: u64) -> TraceTierStats {
-        TraceTierStats {
-            mem_hits: self.mem_hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            captures: self.captures.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            corrupt,
-            resident,
-        }
+// The `# trace-store:` summary line writes the counters from this list,
+// in this order.
+tlp_sim::codec! {
+    TraceTierStats { captures, mem_hits, disk_hits, evictions, corrupt, resident }
+}
+
+impl TraceTierStats {
+    /// The one-line summary printed by the CLI (and asserted by CI's
+    /// trace-store job): every counter as `name=value`.
+    #[must_use]
+    pub fn summary_line(&self) -> String {
+        counters_line(self)
     }
 }
 
@@ -151,31 +118,15 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recent_evictable() {
+    fn lru_evicts_the_least_recently_used_entry() {
         let mut t = TraceTier::default();
-        t.insert("a".into(), recs(), true);
-        t.insert("b".into(), recs(), true);
-        t.insert("c".into(), recs(), true);
+        t.insert("a".into(), recs());
+        t.insert("b".into(), recs());
+        t.insert("c".into(), recs());
         assert!(t.touch("a").is_some()); // refresh a: b is now LRU
         assert_eq!(t.evict_to(2), 1);
         assert!(t.touch("b").is_none(), "b was least-recently used");
         assert!(t.touch("a").is_some());
         assert!(t.touch("c").is_some());
-    }
-
-    #[test]
-    fn pinned_entries_survive_eviction() {
-        let mut t = TraceTier::default();
-        t.insert("pinned".into(), recs(), false);
-        t.insert("disk1".into(), recs(), true);
-        t.insert("disk2".into(), recs(), true);
-        assert_eq!(t.evict_to(1), 2, "both evictable entries go");
-        assert_eq!(t.len(), 1);
-        assert!(t.touch("pinned").is_some(), "pinned entry must survive");
-        // A tier of only pinned entries over cap stops evicting rather
-        // than violating the determinism constraint.
-        t.insert("pinned2".into(), recs(), false);
-        assert_eq!(t.evict_to(1), 0);
-        assert_eq!(t.len(), 2);
     }
 }

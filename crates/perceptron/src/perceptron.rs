@@ -88,12 +88,6 @@ impl HashedPerceptron {
         }
     }
 
-    /// Number of feature tables.
-    #[must_use]
-    pub fn num_features(&self) -> usize {
-        self.tables.len()
-    }
-
     /// Resolves raw feature hashes (one per table) into table indices.
     ///
     /// # Panics

@@ -4,7 +4,10 @@
 //! ```text
 //! tlp-repro [--test|--quick|--full] [--engine cycle|event] [--jobs N]
 //!           [--cache-dir DIR [--cache-cap-mb MB]] [fig1 fig2 ... | all]
-//!           [--scheme NAME [--l1pf NAME]]
+//!           [--scheme NAME [--l1pf NAME] [--workload NAME]... [--simpoints K]]
+//!           [--trace-dir DIR] [--import-trace FILE[:NAME]]...
+//!           [--trace-info PATH|trace:NAME]...
+//!           [--timeline FILE] [--check-timeline FILE]
 //!           [--list-schemes] [--list-prefetchers] [--list-components]
 //!           [--profile FILE.json]
 //!           [--serve HOST:PORT | --connect HOST:PORT [--stats]]
@@ -42,22 +45,54 @@ use tlp_harness::{Harness, L1Pf, RunConfig, TimelineRun};
 use tlp_plugin::Seam;
 use tlp_serve::{scheme_result, Client, ServeError, Server, SweepRequest, TimelineQuery};
 
-const ALL_EXPERIMENTS: [&str; 23] = [
-    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig10", "fig11", "fig12", "fig13", "fig14",
-    "fig15", "fig16", "fig17", "table2", "table3", "ext1", "ext2", "ext3", "ext4", "ext5", "ext6",
-    "ext7",
+/// One experiment: its command-line id and the results it renders.
+type Experiment = (&'static str, fn(&Harness) -> Vec<ExperimentResult>);
+
+/// Every experiment, in `--list` order; `all` runs them in this order.
+const EXPERIMENTS: [Experiment; 24] = [
+    ("fig1", |h| vec![fig01::run(h)]),
+    ("fig2", |h| vec![fig02::run(h)]),
+    ("fig3", |h| vec![fig03::run(h)]),
+    ("fig4", |h| vec![fig04::run(h)]),
+    ("fig5", |h| per_l1pf(h, fig05::run)),
+    ("fig6", |h| per_l1pf(h, fig06::run)),
+    ("fig10", |h| per_l1pf(h, fig10::run)),
+    ("fig11", |h| per_l1pf(h, fig11::run)),
+    ("fig12", |h| per_l1pf(h, fig12::run)),
+    ("fig13", |h| per_l1pf(h, fig13::run)),
+    ("fig14", |h| per_l1pf(h, fig14::run)),
+    ("fig15", |h| vec![fig15::run(h)]),
+    ("fig16", |h| vec![fig16::run(h)]),
+    ("fig17", |h| per_l1pf(h, fig17::run)),
+    ("table2", |_| vec![tables::table2()]),
+    ("table3", |_| vec![tables::table3()]),
+    ("ext1", |h| vec![ext01_offchip::run(h)]),
+    ("ext2", |h| vec![ext02_replacement::run(h)]),
+    ("ext3", |h| {
+        vec![
+            ext03_thresholds::run_tau_high(h),
+            ext03_thresholds::run_tau_low(h),
+            ext03_thresholds::run_tau_pref(h),
+        ]
+    }),
+    ("ext4", |h| vec![ext04_features::run(h)]),
+    ("ext5", |h| vec![ext05_storage::run(h)]),
+    ("ext6", |h| vec![ext06_victim::run(h)]),
+    ("ext7", |h| {
+        vec![ext07_rl::run(h), ext07_rl::run_learning_curve(h)]
+    }),
+    ("table45", |h| vec![tables::table45(h.rc.scale)]),
 ];
 
-/// Experiment names accepted on the command line beyond [`ALL_EXPERIMENTS`].
-const EXTRA_NAMES: [&str; 2] = ["table45", "all"];
+/// A figure drawn once per L1D prefetcher: IPCP, then Berti.
+fn per_l1pf(h: &Harness, run: fn(&Harness, L1Pf) -> ExperimentResult) -> Vec<ExperimentResult> {
+    vec![run(h, L1Pf::Ipcp), run(h, L1Pf::Berti)]
+}
 
-/// The closest known experiment names, best first (the "did you mean"
-/// list; same machinery the registry uses for `--scheme`/`--l1pf`).
-fn suggestions(unknown: &str) -> Vec<String> {
-    tlp_plugin::suggest(
-        unknown,
-        ALL_EXPERIMENTS.iter().chain(EXTRA_NAMES.iter()).copied(),
-    )
+/// Every name the command line accepts as an experiment: the ids, then
+/// `all`.
+fn experiment_names() -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS.iter().map(|(id, _)| *id).chain(["all"])
 }
 
 fn main() {
@@ -253,15 +288,15 @@ fn main() {
                 }
             },
             "--list" => {
-                for e in ALL_EXPERIMENTS.iter().chain(EXTRA_NAMES.iter()) {
-                    println!("{e}");
+                for name in experiment_names() {
+                    println!("{name}");
                 }
                 return;
             }
             "--help" | "-h" => {
                 println!(
-                    "tlp-repro [--test|--quick|--full] [--list] [--all] [--engine cycle|event] [--jobs N] [--cache-dir DIR [--cache-cap-mb MB]] [--no-cache] [--json] [--csv] [--chart] [--out DIR] [--scheme NAME]... [--l1pf NAME] [experiments...]\n\
-                     experiments: {} table45 all\n\
+                    "tlp-repro [--test|--quick|--full] [--list] [--all] [--engine cycle|event] [--jobs N] [--cache-dir DIR [--cache-cap-mb MB]] [--no-cache] [--json] [--csv] [--chart] [--out DIR] [--scheme NAME]... [--l1pf NAME] [--workload NAME]... [--simpoints K] [--trace-dir DIR] [--import-trace FILE[:NAME]]... [--trace-info PATH|trace:NAME]... [--timeline FILE] [--check-timeline FILE] [--list-schemes] [--list-prefetchers] [--list-components] [--profile FILE.json] [--serve HOST:PORT | --connect HOST:PORT [--stats]] [experiments...]\n\
+                     experiments: {}\n\
                      --list prints the experiment ids, one per line\n\
                      --all runs every experiment (same as the `all` operand)\n\
                      --engine selects the time-advance strategy (default: event, or $TLP_ENGINE); \
@@ -294,7 +329,7 @@ fn main() {
                      --serve HOST:PORT runs as a simulation daemon (concurrent clients share the cache)\n\
                      --connect HOST:PORT runs --scheme sweeps (and --timeline) on a remote daemon\n\
                      --stats (with --connect) dumps the daemon's live metrics as Prometheus-style text",
-                    ALL_EXPERIMENTS.join(" ")
+                    experiment_names().collect::<Vec<_>>().join(" ")
                 );
                 return;
             }
@@ -368,11 +403,11 @@ fn main() {
     }
     let unknown: Vec<&String> = requested
         .iter()
-        .filter(|r| !ALL_EXPERIMENTS.contains(&r.as_str()) && !EXTRA_NAMES.contains(&r.as_str()))
+        .filter(|r| !experiment_names().any(|name| name == r.as_str()))
         .collect();
     if !unknown.is_empty() {
         for u in unknown {
-            let hint = suggestions(u);
+            let hint = tlp_plugin::suggest(u, experiment_names());
             if hint.is_empty() {
                 eprintln!("unknown experiment: {u} (--list shows all ids)");
             } else {
@@ -416,8 +451,7 @@ fn main() {
             && import_traces.is_empty()
             && trace_info_args.is_empty())
     {
-        requested = ALL_EXPERIMENTS.iter().map(|s| (*s).to_string()).collect();
-        requested.push("table45".into());
+        requested = EXPERIMENTS.iter().map(|(id, _)| (*id).to_owned()).collect();
     }
     let out_dir = out_dir.unwrap_or_else(|| "results".into());
     if formats.iter().any(|f| *f != "chart") {
@@ -725,7 +759,11 @@ fn main() {
     );
     for exp in &requested {
         let t0 = std::time::Instant::now();
-        let results = run_experiment(&h, exp, rc);
+        let (_, run) = EXPERIMENTS
+            .iter()
+            .find(|(id, _)| id == exp)
+            .expect("experiment names validated up front");
+        let results = run(&h);
         emit_results(exp, results, t0);
     }
     for name in &schemes {
@@ -777,11 +815,7 @@ fn main() {
     // The trace-store summary (CI's trace-store job asserts on it: a
     // warm --trace-dir run must report captures=0).
     if trace_dir.is_some() {
-        let ts = h.trace_stats();
-        println!(
-            "# trace-store: captures={} mem_hits={} disk_hits={} evictions={} corrupt={} resident={}",
-            ts.captures, ts.mem_hits, ts.disk_hits, ts.evictions, ts.corrupt, ts.resident
-        );
+        println!("# trace-store: {}", h.trace_stats().summary_line());
     }
     // Local telemetry capture: instrumented re-simulations through the
     // timeline blob cache (never through the run engine, so the summary
@@ -830,39 +864,5 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("# profile written to {}", path.display());
-    }
-}
-
-fn run_experiment(h: &Harness, id: &str, rc: RunConfig) -> Vec<ExperimentResult> {
-    match id {
-        "fig1" => vec![fig01::run(h)],
-        "fig2" => vec![fig02::run(h)],
-        "fig3" => vec![fig03::run(h)],
-        "fig4" => vec![fig04::run(h)],
-        "fig5" => vec![fig05::run(h, L1Pf::Ipcp), fig05::run(h, L1Pf::Berti)],
-        "fig6" => vec![fig06::run(h, L1Pf::Ipcp), fig06::run(h, L1Pf::Berti)],
-        "fig10" => vec![fig10::run(h, L1Pf::Ipcp), fig10::run(h, L1Pf::Berti)],
-        "fig11" => vec![fig11::run(h, L1Pf::Ipcp), fig11::run(h, L1Pf::Berti)],
-        "fig12" => vec![fig12::run(h, L1Pf::Ipcp), fig12::run(h, L1Pf::Berti)],
-        "fig13" => vec![fig13::run(h, L1Pf::Ipcp), fig13::run(h, L1Pf::Berti)],
-        "fig14" => vec![fig14::run(h, L1Pf::Ipcp), fig14::run(h, L1Pf::Berti)],
-        "fig15" => vec![fig15::run(h)],
-        "fig16" => vec![fig16::run(h)],
-        "fig17" => vec![fig17::run(h, L1Pf::Ipcp), fig17::run(h, L1Pf::Berti)],
-        "table2" => vec![tables::table2()],
-        "table3" => vec![tables::table3()],
-        "table45" => vec![tables::table45(rc.scale)],
-        "ext1" => vec![ext01_offchip::run(h)],
-        "ext2" => vec![ext02_replacement::run(h)],
-        "ext3" => vec![
-            ext03_thresholds::run_tau_high(h),
-            ext03_thresholds::run_tau_low(h),
-            ext03_thresholds::run_tau_pref(h),
-        ],
-        "ext4" => vec![ext04_features::run(h)],
-        "ext5" => vec![ext05_storage::run(h)],
-        "ext6" => vec![ext06_victim::run(h)],
-        "ext7" => vec![ext07_rl::run(h), ext07_rl::run_learning_curve(h)],
-        other => unreachable!("experiment names validated up front: {other}"),
     }
 }

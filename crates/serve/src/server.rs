@@ -214,7 +214,20 @@ fn handle_connection(
     let writer = Mutex::new(stream.try_clone()?);
     while let Some((kind, payload)) = read_frame(&mut reader)? {
         match kind {
-            FrameKind::Request => {}
+            FrameKind::Request => {
+                serve_request(&payload, "malformed request", &writer, metrics, |req| {
+                    answer_sweep(harness, req, &writer, metrics)
+                })?;
+            }
+            FrameKind::Timeline => {
+                serve_request(
+                    &payload,
+                    "malformed timeline query",
+                    &writer,
+                    metrics,
+                    |q| answer_timeline(harness, q, &writer),
+                )?;
+            }
             FrameKind::Stats => {
                 let frame = StatsFrame {
                     text: render_stats(metrics, harness),
@@ -222,63 +235,50 @@ fn handle_connection(
                 let mut w = writer.lock();
                 write_frame(&mut *w, FrameKind::Stats, &frame.encode())?;
                 w.flush()?;
-                continue;
-            }
-            FrameKind::Timeline => {
-                let query = match TimelineQuery::decode(&payload) {
-                    Ok(q) => q,
-                    Err(e) => {
-                        metrics.errors.inc();
-                        send_error(&writer, &format!("malformed timeline query: {e}"))?;
-                        continue;
-                    }
-                };
-                metrics.requests.inc();
-                metrics.in_flight.inc();
-                let t0 = Instant::now();
-                let result = answer_timeline(harness, &query, &writer);
-                metrics.latency.record_since(t0);
-                metrics.in_flight.dec();
-                match result {
-                    Ok(()) => {}
-                    Err(AnswerError::Reject(msg)) => {
-                        metrics.errors.inc();
-                        send_error(&writer, &msg)?;
-                    }
-                    Err(AnswerError::Io(e)) => return Err(e),
-                }
-                continue;
             }
             other => {
                 metrics.errors.inc();
                 send_error(&writer, &format!("unexpected {other:?} frame from client"))?;
-                continue;
             }
-        }
-        let req = match SweepRequest::decode(&payload) {
-            Ok(req) => req,
-            Err(e) => {
-                metrics.errors.inc();
-                send_error(&writer, &format!("malformed request: {e}"))?;
-                continue;
-            }
-        };
-        metrics.requests.inc();
-        metrics.in_flight.inc();
-        let t0 = Instant::now();
-        let result = answer_sweep(harness, &req, &writer, metrics);
-        metrics.latency.record_since(t0);
-        metrics.in_flight.dec();
-        match result {
-            Ok(()) => {}
-            Err(AnswerError::Reject(msg)) => {
-                metrics.errors.inc();
-                send_error(&writer, &msg)?;
-            }
-            Err(AnswerError::Io(e)) => return Err(e),
         }
     }
     Ok(())
+}
+
+/// Decodes one request frame and answers it, with the bookkeeping every
+/// request shares: a payload that does not decode counts an error and
+/// answers an ERROR frame headed `malformed`; a decoded request counts,
+/// holds `in_flight` up while `answer` runs and records its latency; a
+/// rejected request counts an error and answers an ERROR frame. Only a
+/// transport failure is returned, and it closes the connection.
+fn serve_request<F: Frame>(
+    payload: &[u8],
+    malformed: &str,
+    writer: &Mutex<TcpStream>,
+    metrics: &ServeMetrics,
+    answer: impl FnOnce(&F) -> Result<(), AnswerError>,
+) -> std::io::Result<()> {
+    let request = match F::decode(payload) {
+        Ok(request) => request,
+        Err(e) => {
+            metrics.errors.inc();
+            return send_error(writer, &format!("{malformed}: {e}"));
+        }
+    };
+    metrics.requests.inc();
+    metrics.in_flight.inc();
+    let t0 = Instant::now();
+    let result = answer(&request);
+    metrics.latency.record_since(t0);
+    metrics.in_flight.dec();
+    match result {
+        Ok(()) => Ok(()),
+        Err(AnswerError::Reject(msg)) => {
+            metrics.errors.inc();
+            send_error(writer, &msg)
+        }
+        Err(AnswerError::Io(e)) => Err(e),
+    }
 }
 
 /// The daemon's own metrics merged with the shared harness's registry

@@ -475,12 +475,6 @@ impl System {
         self
     }
 
-    /// The active engine mode.
-    #[must_use]
-    pub fn engine_mode(&self) -> EngineMode {
-        self.mode
-    }
-
     /// Ticks actually executed so far. In cycle mode this equals
     /// [`System::cycle`]; in event mode the difference counts the idle
     /// cycles the scheduler skipped.

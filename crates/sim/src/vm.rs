@@ -51,12 +51,6 @@ impl PageTable {
         });
         frame * PAGE_SIZE + vaddr % PAGE_SIZE
     }
-
-    /// Number of pages mapped for `core`.
-    #[must_use]
-    pub fn mapped_pages(&self, core: CoreId) -> usize {
-        self.maps[core].len()
-    }
 }
 
 #[derive(Debug, Clone, Copy)]

@@ -25,10 +25,12 @@ impl std::fmt::Display for Suite {
 
 /// A deterministic, restartable workload generator.
 ///
-/// `generate` runs one pass of the workload (e.g. one BFS from a fresh root)
-/// and must return promptly once the sink closes. The trace infrastructure
-/// re-invokes `generate` in a loop when more instructions are needed, so a
-/// pass does not need to be longer than the natural length of the kernel.
+/// `generate` runs one numbered pass of the workload (e.g. one BFS from
+/// the pass's root) and must return promptly once the sink closes. A pass
+/// is a pure function of the workload and its index: [`crate::capture`]
+/// runs passes 0, 1, 2, … until its budget is met, so capturing the same
+/// workload twice, on any thread, records the same trace. A pass does not
+/// need to be longer than the natural length of the kernel.
 pub trait Workload: Send + Sync {
     /// Stable, unique workload name (e.g. `"bfs.kron"` or `"spec.mcf_06"`).
     fn name(&self) -> &str;
@@ -36,8 +38,8 @@ pub trait Workload: Send + Sync {
     /// Which suite the workload belongs to.
     fn suite(&self) -> Suite;
 
-    /// Runs one pass, pushing records into `sink`.
-    fn generate(&self, sink: &mut dyn TraceSink);
+    /// Runs pass `pass`, pushing records into `sink`.
+    fn generate(&self, pass: u64, sink: &mut dyn TraceSink);
 
     /// For workloads backed by an on-disk trace file (the `trace:` plugin
     /// namespace), the path to stream records from instead of generating.

@@ -22,7 +22,9 @@ pub trait TraceSource: Send {
     fn name(&self) -> &str;
 }
 
-/// Captures `budget` records from a workload by re-running it as needed.
+/// Captures `budget` records from a workload by running its passes 0, 1,
+/// 2, … until the budget is met. The records are a function of the
+/// workload and `budget` alone.
 ///
 /// # Panics
 ///
@@ -30,17 +32,17 @@ pub trait TraceSource: Send {
 #[must_use]
 pub fn capture(workload: &dyn Workload, budget: usize) -> Vec<TraceRecord> {
     let mut sink = RecorderSink::new(budget);
-    let mut guard = 0;
+    let mut pass = 0;
     while !sink.is_closed() {
         let before = sink.len();
-        workload.generate(&mut sink);
+        workload.generate(pass, &mut sink);
         assert!(
             sink.len() > before || sink.is_closed(),
             "workload {} emitted no records",
             workload.name()
         );
-        guard += 1;
-        assert!(guard < 1_000_000, "workload restart runaway");
+        pass += 1;
+        assert!(pass < 1_000_000, "workload restart runaway");
     }
     sink.into_records()
 }
@@ -150,7 +152,7 @@ mod tests {
         fn suite(&self) -> Suite {
             Suite::Spec
         }
-        fn generate(&self, sink: &mut dyn TraceSink) {
+        fn generate(&self, _pass: u64, sink: &mut dyn TraceSink) {
             let mut e = Emitter::new(sink, 0x1000);
             for i in 0..10u64 {
                 if !e.load(0, 0x10_000 + i * 64, Reg(3), [None, None]) {
@@ -168,6 +170,15 @@ mod tests {
         assert_eq!(recs.len(), 95);
         // One pass is 30 records; the fourth pass is cut short.
         assert_eq!(recs[30].pc, recs[0].pc);
+    }
+
+    #[test]
+    fn capture_is_a_pure_function_of_the_workload() {
+        for name in ["bfs.kron", "spec.mcf_06"] {
+            let w = crate::catalog::workload(name, crate::catalog::Scale::Tiny).expect(name);
+            let first = capture(w.as_ref(), 5_000);
+            assert_eq!(first, capture(w.as_ref(), 5_000), "{name} recaptured");
+        }
     }
 
     #[test]

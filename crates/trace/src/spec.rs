@@ -18,8 +18,6 @@
 //! (putting the workload in the paper's "LLC MPKI > 1" regime) while staying
 //! fast to generate.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -77,7 +75,6 @@ pub struct SpecWorkload {
     /// Independent ALU ops inserted per memory access (ILP padding).
     alu_per_mem: u32,
     seed: u64,
-    pass: AtomicU64,
 }
 
 /// Virtual-address bases for the SPEC engines (distinct from the GAP bases).
@@ -112,7 +109,6 @@ impl SpecWorkload {
             elems,
             alu_per_mem,
             seed,
-            pass: AtomicU64::new(0),
         }
     }
 
@@ -154,8 +150,7 @@ impl Workload for SpecWorkload {
         Suite::Spec
     }
 
-    fn generate(&self, sink: &mut dyn TraceSink) {
-        let pass = self.pass.fetch_add(1, Ordering::Relaxed);
+    fn generate(&self, pass: u64, sink: &mut dyn TraceSink) {
         let mut rng = StdRng::seed_from_u64(self.seed ^ pass.wrapping_mul(0x2545_f491_4f6c_dd1d));
         let mut e = Emitter::new(sink, self.code_base());
         match self.kind {
@@ -540,8 +535,10 @@ mod tests {
     fn branchy_engine_emits_unbiased_branches() {
         let w = SpecWorkload::new("t", PatternKind::BranchyMixed, 8192, 1, 3);
         let mut sink = CountingSink::with_budget(10_000);
+        let mut pass = 0;
         while !sink.is_closed() {
-            w.generate(&mut sink);
+            w.generate(pass, &mut sink);
+            pass += 1;
         }
         assert!(sink.branches() * 100 / sink.total() > 10);
     }

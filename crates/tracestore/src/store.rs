@@ -14,8 +14,8 @@
 //! Captured traces are keyed by workload + capture environment + budget,
 //! salted with [`TRACE_VERSION`]; imported external traces (the `trace:`
 //! namespace) are keyed by their import name. The trace store is never
-//! capped: a re-capture in the same process records a different trace
-//! (see `tlp_harness::tracetier`), and imports are stored nowhere else.
+//! capped, because imports are stored nowhere else; a lost capture is
+//! re-captured identical.
 
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -324,8 +324,8 @@ impl TraceStore {
     }
 
     /// Writes a trace under `key` as one atomic [`ContentStore::write`].
-    /// Concurrent writers of the same key are harmless — captures are
-    /// deterministic per fresh process, so racing renames publish
+    /// Concurrent writers of the same key are harmless — a capture is a
+    /// function of the workload and the budget, so racing renames publish
     /// identical bytes.
     ///
     /// # Errors

@@ -55,7 +55,7 @@ impl Workload for TraceWorkload {
         Suite::Spec
     }
 
-    fn generate(&self, sink: &mut dyn TraceSink) {
+    fn generate(&self, _pass: u64, sink: &mut dyn TraceSink) {
         let mut reader =
             StreamTrace::open(&self.path).expect("trace file validated at TraceWorkload::open");
         while let Some(rec) = reader.next_record() {

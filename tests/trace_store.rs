@@ -7,6 +7,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use tlp::harness::tracetier::DEFAULT_TRACE_MEM_CAP;
 use tlp::harness::{Harness, L1Pf, Machine, RunCell, RunConfig, Scheme};
 use tlp::trace::catalog::{single_core_set, Scale};
 use tlp::trace::emit::Suite;
@@ -85,6 +86,39 @@ fn warm_trace_dir_serves_a_fresh_harness_without_capturing() {
     assert_eq!(ts.captures, 0, "warm harness must not capture");
     assert!(ts.disk_hits > 0, "warm harness streams from the store");
     assert_eq!(cold_report, warm_report);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A trace evicted from memory whose stored file is then lost is
+/// captured again, and the new capture equals a fresh harness's: a
+/// capture is a function of the workload and the budget, not of how
+/// often the process captured it before.
+#[test]
+fn a_lost_trace_is_recaptured_identically() {
+    let dir = tmp_dir("lost");
+    let h = Harness::new(rc()).with_trace_dir(&dir).expect("trace dir");
+    let mcf = h.workload("spec.mcf_06").expect("catalog workload");
+    let records = |h: &Harness, w| {
+        let mut t = h.trace_for(w);
+        let n = rc().warmup + rc().instructions;
+        (0..n)
+            .map(|_| t.next_record().expect("traces loop"))
+            .collect::<Vec<_>>()
+    };
+    let _ = h.trace_for(&mcf);
+    let others = h.workloads().iter().filter(|w| w.name() != mcf.name());
+    for w in others.take(DEFAULT_TRACE_MEM_CAP) {
+        let _ = h.trace_for(w);
+    }
+    assert_eq!(h.trace_stats().evictions, 1, "spec.mcf_06 left memory");
+    for (path, _) in h.trace_store().expect("store").entries().expect("list") {
+        std::fs::remove_file(path).expect("delete a stored trace");
+    }
+    let again = records(&h, &mcf);
+    assert_eq!(h.trace_stats().captures, 2 + DEFAULT_TRACE_MEM_CAP as u64);
+    let fresh = Harness::new(rc());
+    let reference = fresh.workload("spec.mcf_06").expect("catalog workload");
+    assert!(again == records(&fresh, &reference), "re-capture differs");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
