@@ -15,13 +15,14 @@
 //!   for concurrent writers across threads and processes, lock-free
 //!   readers, an optional LRU size cap).
 //!
-//! On top of the tiers sits a **single-flight layer**
-//! ([`ResultCache::get_or_run`]): the first requester of a missing cell
-//! becomes its *leader* and simulates; every concurrent requester of the
-//! same [`RunKey`] — another batch, another thread, another `tlp-serve`
-//! client — blocks on the in-flight slot and receives the leader's
-//! published report. One simulation per unique cell, ever, no matter how
-//! the traffic overlaps.
+//! Each key resolves through one `OnceLock` slot
+//! ([`ResultCache::get_or_run`], [`ResultCache::timeline`]): the first
+//! requester of a missing cell runs the initializer (probe the disk,
+//! else simulate); every concurrent requester of the same [`RunKey`] —
+//! another batch, another thread, another `tlp-serve` client — blocks on
+//! the slot and receives the published value. One simulation per unique
+//! cell, and one capture per timeline key, no matter how the traffic
+//! overlaps.
 //!
 //! Cell results are deterministic functions of their description (the
 //! simulator is single-threaded per cell and all seeds are fixed), which
@@ -30,10 +31,10 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 
 use tlp_obs::{Counter, Histogram, MetricsRegistry};
 use tlp_sim::serial::{self, Codec};
@@ -221,9 +222,9 @@ pub struct EngineStats {
     pub mem_hits: u64,
     /// Lookups answered from the on-disk tier.
     pub disk_hits: u64,
-    /// Lookups that found their cell already in flight (here or on
-    /// another client's request) and blocked on that single-flight slot
-    /// instead of re-simulating.
+    /// Lookups answered by another requester filling the cell's slot
+    /// (for this batch or another client's request): they blocked on the
+    /// slot instead of re-simulating.
     pub coalesced: u64,
     /// Corrupt on-disk entries found (and deleted) by lookups.
     pub corrupt: u64,
@@ -245,7 +246,7 @@ tlp_sim::codec! {
 
 impl EngineStats {
     /// Lookups that did not cost this requester a simulation: cache-tier
-    /// hits plus waits coalesced onto an in-flight simulation.
+    /// hits plus waits coalesced onto another requester's simulation.
     #[must_use]
     pub fn hits(&self) -> u64 {
         self.mem_hits + self.disk_hits + self.coalesced
@@ -287,91 +288,35 @@ pub(crate) fn counters_line(stats: &impl Codec) -> String {
     pairs.join(" ")
 }
 
-/// One in-flight cell: the slot every later requester of the same key
-/// blocks on instead of re-simulating. Plain `std` primitives — the
-/// `parking_lot` shim has no condvar.
-struct FlightSlot {
-    state: Mutex<FlightState>,
-    ready: Condvar,
+/// One memoized value per [`RunKey`]. The lock is held only to find a
+/// key's slot; `OnceLock::get_or_init` on the slot is the single-flight:
+/// the first caller runs the initializer, concurrent callers block until
+/// it publishes, and a panicking initializer leaves the slot empty so a
+/// waiter runs its own.
+struct Memo<V> {
+    slots: Mutex<HashMap<RunKey, Arc<OnceLock<Arc<V>>>>>,
 }
 
-enum FlightState {
-    /// The leader is simulating (or loading from disk).
-    Running,
-    /// The leader published; every waiter gets this shared report.
-    Done(Arc<SimReport>),
-    /// The leader panicked without publishing; waiters re-contend for
-    /// leadership (and re-hit the same panic if it is deterministic).
-    Aborted,
-}
-
-impl FlightSlot {
+impl<V> Memo<V> {
     fn new() -> Self {
         Self {
-            state: Mutex::new(FlightState::Running),
-            ready: Condvar::new(),
+            slots: Mutex::new(HashMap::new()),
         }
     }
 
-    fn finish(&self, state: FlightState) {
-        *self
-            .state
+    /// The slot for `key`, created empty on first use.
+    fn slot(&self, key: RunKey) -> Arc<OnceLock<Arc<V>>> {
+        Arc::clone(self.slots.lock().entry(key).or_default())
+    }
+
+    /// The number of published values.
+    fn len(&self) -> usize {
+        self.slots
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = state;
-        self.ready.notify_all();
+            .values()
+            .filter(|s| s.get().is_some())
+            .count()
     }
-
-    /// Blocks until the leader publishes or aborts.
-    fn wait(&self) -> Option<Arc<SimReport>> {
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        loop {
-            match &*state {
-                FlightState::Running => {
-                    state = self
-                        .ready
-                        .wait(state)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-                FlightState::Done(report) => return Some(Arc::clone(report)),
-                FlightState::Aborted => return None,
-            }
-        }
-    }
-}
-
-/// Unwinds a leader that never published: removes the in-flight slot and
-/// wakes waiters so one of them can take over. Disarmed on publish.
-struct FlightGuard<'a> {
-    cache: &'a ResultCache,
-    key: RunKey,
-    slot: &'a Arc<FlightSlot>,
-    armed: bool,
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.cache
-                .inflight
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .remove(&self.key);
-            self.slot.finish(FlightState::Aborted);
-        }
-    }
-}
-
-/// What a single-flight claim resolved to.
-enum Claim {
-    /// This requester simulates; everyone else waits on the slot.
-    Lead(Arc<FlightSlot>),
-    /// Another requester holds the key; wait on its slot.
-    Follow(Arc<FlightSlot>),
-    /// The cell was published while taking the claim lock.
-    Hit(Arc<SimReport>),
 }
 
 /// How a [`ResultCache::get_or_run`] request was resolved — recorded per
@@ -382,7 +327,7 @@ pub enum CellOutcome {
     MemHit,
     /// Answered from the on-disk tier.
     DiskHit,
-    /// Blocked on another requester's in-flight simulation.
+    /// Blocked on the slot while another requester filled it.
     Coalesced,
     /// This requester led and simulated the cell.
     Simulated,
@@ -413,7 +358,8 @@ pub struct CellTiming {
     /// picking it up (0 for unqueued requests).
     pub queue_wait_ns: u64,
     /// Nanoseconds from lookup start to resolution (includes simulate
-    /// time for leaders and blocking time for coalesced followers).
+    /// time for the requester that filled the slot and blocking time for
+    /// coalesced ones).
     pub total_ns: u64,
 }
 
@@ -421,10 +367,10 @@ pub struct CellTiming {
 /// without bound, so entries past this are dropped (and counted).
 const MAX_CELL_LOG: usize = 16_384;
 
-/// The two-tier content-addressed cache with a cross-requester
-/// single-flight layer: concurrent requests for one [`RunKey`] — from
-/// several batches, threads, or service clients — cost exactly one
-/// simulation.
+/// The two-tier content-addressed cache, single-flighted per key:
+/// concurrent requests for one [`RunKey`] — from several batches,
+/// threads, or service clients — cost exactly one simulation (or one
+/// timeline capture).
 ///
 /// Every counter the engine reports lives in a per-cache
 /// [`MetricsRegistry`] (`run_cache_*` names): [`ResultCache::stats`] and
@@ -433,10 +379,9 @@ const MAX_CELL_LOG: usize = 16_384;
 /// coalesce wait, all nanoseconds) sit alongside them for `--profile`
 /// and the serve daemon's `STATS` frame.
 pub struct ResultCache {
-    mem: RwLock<HashMap<RunKey, Arc<SimReport>>>,
-    mem_timelines: RwLock<HashMap<RunKey, Arc<Timeline>>>,
+    reports: Memo<SimReport>,
+    timelines: Memo<Timeline>,
     disk: Option<DiskCache>,
-    inflight: Mutex<HashMap<RunKey, Arc<FlightSlot>>>,
     registry: Arc<MetricsRegistry>,
     requested: Counter,
     mem_hits: Counter,
@@ -457,7 +402,7 @@ pub struct ResultCache {
 impl std::fmt::Debug for ResultCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResultCache")
-            .field("entries", &self.mem.read().len())
+            .field("entries", &self.reports.len())
             .field("disk", &self.disk)
             .field("stats", &self.stats())
             .finish()
@@ -476,10 +421,9 @@ impl ResultCache {
     pub fn in_memory() -> Self {
         let registry = Arc::new(MetricsRegistry::new());
         Self {
-            mem: RwLock::new(HashMap::new()),
-            mem_timelines: RwLock::new(HashMap::new()),
+            reports: Memo::new(),
+            timelines: Memo::new(),
             disk: None,
-            inflight: Mutex::new(HashMap::new()),
             requested: registry.counter("run_cache_requested_total"),
             mem_hits: registry.counter("run_cache_mem_hits_total"),
             disk_hits: registry.counter("run_cache_disk_hits_total"),
@@ -528,17 +472,11 @@ impl ResultCache {
     /// `run_cache_cell_log_dropped_total`).
     #[must_use]
     pub fn cell_timings(&self) -> Vec<CellTiming> {
-        self.cell_log
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+        self.cell_log.lock().clone()
     }
 
     fn log_cell(&self, timing: CellTiming) {
-        let mut log = self
-            .cell_log
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut log = self.cell_log.lock();
         if log.len() >= MAX_CELL_LOG {
             self.cell_log_dropped.inc();
         } else {
@@ -552,20 +490,14 @@ impl ResultCache {
     pub fn lookup(&self, key: RunKey) -> Option<Arc<SimReport>> {
         let _t = self.lookup_ns.span();
         self.requested.inc();
-        if let Some(r) = self.mem.read().get(&key) {
+        let slot = self.reports.slot(key);
+        if let Some(r) = slot.get() {
             self.mem_hits.inc();
             return Some(Arc::clone(r));
         }
-        match self.load_disk(key) {
-            Some(report) => {
-                self.disk_hits.inc();
-                let arc = Arc::new(report);
-                Some(Arc::clone(
-                    self.mem.write().entry(key).or_insert_with(|| arc),
-                ))
-            }
-            None => None,
-        }
+        let report = self.load_disk(key)?;
+        self.disk_hits.inc();
+        Some(Arc::clone(slot.get_or_init(|| Arc::new(report))))
     }
 
     /// Disk-tier load with corruption accounting.
@@ -584,67 +516,34 @@ impl ResultCache {
     /// raced the same key in, the first entry wins (both are identical by
     /// determinism) and its `Arc` is returned.
     pub fn insert_simulated(&self, key: RunKey, report: SimReport) -> Arc<SimReport> {
+        let report = self.persist(key, report);
+        Arc::clone(self.reports.slot(key).get_or_init(|| report))
+    }
+
+    /// Counts one simulated cell and writes it to the disk tier.
+    fn persist(&self, key: RunKey, report: SimReport) -> Arc<SimReport> {
         self.simulated.inc();
         if let Some(d) = &self.disk {
             let _t = self.store_ns.span();
             d.store(key, &report);
         }
-        let arc = Arc::new(report);
-        Arc::clone(self.mem.write().entry(key).or_insert_with(|| arc))
+        Arc::new(report)
     }
 
-    /// Looks one timeline blob up: memory first, then disk (promoting a
-    /// disk hit into memory). Timeline captures are deterministic, so
-    /// they are deliberately *not* single-flighted — a racing duplicate
-    /// capture wastes work but can never publish a different blob.
-    #[must_use]
-    pub fn lookup_timeline(&self, key: RunKey) -> Option<Arc<Timeline>> {
-        if let Some(t) = self.mem_timelines.read().get(&key) {
-            return Some(Arc::clone(t));
-        }
-        let timeline = self.disk.as_ref()?.load_timeline(key)?;
-        let arc = Arc::new(timeline);
-        Some(Arc::clone(
-            self.mem_timelines.write().entry(key).or_insert_with(|| arc),
-        ))
-    }
-
-    /// Records a freshly captured timeline blob into both tiers. On a
-    /// racing insert the first entry wins (both are identical by
-    /// determinism) and its `Arc` is returned.
-    pub fn insert_timeline(&self, key: RunKey, timeline: Timeline) -> Arc<Timeline> {
-        if let Some(d) = &self.disk {
-            d.store_timeline(key, &timeline);
-        }
-        let arc = Arc::new(timeline);
-        Arc::clone(self.mem_timelines.write().entry(key).or_insert_with(|| arc))
-    }
-
-    /// Single-flight resolution of one cell: answer from a cache tier,
-    /// *lead* (run `simulate` and publish for everyone), or *follow*
-    /// (block until the in-flight leader — possibly serving a different
-    /// batch, thread, or service client — publishes). Exactly one
-    /// requester per key ever simulates, per cache lifetime; this closes
-    /// the lookup-then-simulate window that previously let two
-    /// overlapping batches both miss and both simulate the same cell.
+    /// Single-flight resolution of one cell through its slot: answer from
+    /// memory, or run the initializer (probe the disk, else `simulate`
+    /// and store) while every concurrent requester — possibly serving a
+    /// different batch, thread, or service client — blocks on the slot.
+    /// Exactly one requester per key ever simulates, per cache lifetime.
     ///
     /// Counts one request, plus `mem_hits`/`disk_hits`/`coalesced`/
-    /// `simulated` for how the cell was resolved. If a leader panics, a
-    /// waiter takes over leadership (and a deterministic panic
-    /// propagates to every requester in turn).
-    pub fn get_or_run<F>(&self, key: RunKey, simulate: F) -> Arc<SimReport>
-    where
-        F: FnOnce() -> SimReport,
-    {
-        self.get_or_run_labeled(key, None, 0, simulate)
-    }
-
-    /// [`ResultCache::get_or_run`] with profile attribution: `label`
-    /// names the cell in the per-cell timing log (falling back to the
-    /// key's hex) and `queue_wait_ns` is how long the request sat in a
-    /// batch queue before this call (recorded into
-    /// `run_cache_queue_wait_ns`).
-    pub fn get_or_run_labeled<F>(
+    /// `simulated` for how the cell was resolved. If the initializer
+    /// panics, a waiter runs its own (and a deterministic panic
+    /// propagates to every requester in turn). `label` names the cell in
+    /// the per-cell timing log (falling back to the key's hex) and
+    /// `queue_wait_ns` is how long the request sat in a batch queue
+    /// before this call (recorded into `run_cache_queue_wait_ns`).
+    pub fn get_or_run<F>(
         &self,
         key: RunKey,
         label: Option<&str>,
@@ -659,68 +558,39 @@ impl ResultCache {
             self.queue_wait_ns.record(queue_wait_ns);
         }
         self.requested.inc();
-        let mut simulate = Some(simulate);
-        let (report, outcome) = loop {
-            {
-                let _t = self.lookup_ns.span();
-                if let Some(r) = self.mem.read().get(&key) {
-                    self.mem_hits.inc();
-                    break (Arc::clone(r), CellOutcome::MemHit);
+        let slot = {
+            let _t = self.lookup_ns.span();
+            self.reports.slot(key)
+        };
+        let (report, outcome) = if let Some(r) = slot.get() {
+            self.mem_hits.inc();
+            (Arc::clone(r), CellOutcome::MemHit)
+        } else {
+            // Stays `Coalesced` unless this requester's initializer runs.
+            let mut outcome = CellOutcome::Coalesced;
+            let report = Arc::clone(slot.get_or_init(|| {
+                // Only the initializer probes the disk tier, so a shared
+                // directory sees one read per key per process.
+                let probe = self.lookup_ns.span();
+                let loaded = self.load_disk(key);
+                drop(probe);
+                if let Some(report) = loaded {
+                    self.disk_hits.inc();
+                    outcome = CellOutcome::DiskHit;
+                    return Arc::new(report);
                 }
+                let report = {
+                    let _t = self.simulate_ns.span();
+                    simulate()
+                };
+                outcome = CellOutcome::Simulated;
+                self.persist(key, report)
+            }));
+            if outcome == CellOutcome::Coalesced {
+                self.coalesced.inc();
+                self.coalesce_wait_ns.record_since(started);
             }
-            match self.claim(key) {
-                Claim::Hit(r) => {
-                    self.mem_hits.inc();
-                    break (r, CellOutcome::MemHit);
-                }
-                Claim::Follow(slot) => {
-                    let wait = self.coalesce_wait_ns.span();
-                    match slot.wait() {
-                        Some(r) => {
-                            self.coalesced.inc();
-                            break (r, CellOutcome::Coalesced);
-                        }
-                        // The leader died; go claim leadership ourselves.
-                        None => {
-                            drop(wait);
-                            continue;
-                        }
-                    }
-                }
-                Claim::Lead(slot) => {
-                    let mut guard = FlightGuard {
-                        cache: self,
-                        key,
-                        slot: &slot,
-                        armed: true,
-                    };
-                    // Only the leader probes the disk tier, so a shared
-                    // directory sees one read per key per process.
-                    let probe = self.lookup_ns.span();
-                    let loaded = self.load_disk(key);
-                    drop(probe);
-                    if let Some(report) = loaded {
-                        self.disk_hits.inc();
-                        break (
-                            self.publish(&mut guard, Arc::new(report)),
-                            CellOutcome::DiskHit,
-                        );
-                    }
-                    let report = {
-                        let _t = self.simulate_ns.span();
-                        (simulate.take().expect("leader runs once"))()
-                    };
-                    self.simulated.inc();
-                    if let Some(d) = &self.disk {
-                        let _t = self.store_ns.span();
-                        d.store(key, &report);
-                    }
-                    break (
-                        self.publish(&mut guard, Arc::new(report)),
-                        CellOutcome::Simulated,
-                    );
-                }
-            }
+            (report, outcome)
         };
         self.log_cell(CellTiming {
             label: label.map_or_else(|| key.hex(), str::to_owned),
@@ -731,45 +601,25 @@ impl ResultCache {
         report
     }
 
-    /// Takes the single-flight claim for `key`. The memory tier is
-    /// re-checked under the in-flight lock: a leader publishes to memory
-    /// *before* releasing its slot, so a key absent from both maps here
-    /// is provably not in flight.
-    fn claim(&self, key: RunKey) -> Claim {
-        let mut inflight = self
-            .inflight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(r) = self.mem.read().get(&key) {
-            return Claim::Hit(Arc::clone(r));
-        }
-        match inflight.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => Claim::Follow(Arc::clone(e.get())),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let slot = Arc::new(FlightSlot::new());
-                v.insert(Arc::clone(&slot));
-                Claim::Lead(slot)
+    /// One timeline blob, resolved like a report through its own slot:
+    /// memory, else disk, else `capture` (stored to both tiers). Every
+    /// concurrent requester of `key` shares the one capture.
+    pub fn timeline<F>(&self, key: RunKey, capture: F) -> Arc<Timeline>
+    where
+        F: FnOnce() -> Timeline,
+    {
+        let slot = self.timelines.slot(key);
+        let timeline = slot.get_or_init(|| {
+            if let Some(t) = self.disk.as_ref().and_then(|d| d.load_timeline(key)) {
+                return Arc::new(t);
             }
-        }
-    }
-
-    /// Leader-side publish: memory tier first (first writer wins), then
-    /// release the in-flight slot and wake every waiter with the shared
-    /// report.
-    fn publish(&self, guard: &mut FlightGuard<'_>, report: Arc<SimReport>) -> Arc<SimReport> {
-        let arc = Arc::clone(
-            self.mem
-                .write()
-                .entry(guard.key)
-                .or_insert_with(|| Arc::clone(&report)),
-        );
-        self.inflight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .remove(&guard.key);
-        guard.armed = false;
-        guard.slot.finish(FlightState::Done(Arc::clone(&arc)));
-        arc
+            let timeline = capture();
+            if let Some(d) = &self.disk {
+                d.store_timeline(key, &timeline);
+            }
+            Arc::new(timeline)
+        });
+        Arc::clone(timeline)
     }
 
     /// Records `n` in-batch duplicate submissions.
@@ -982,7 +832,7 @@ mod tests {
                 let barrier = std::sync::Arc::clone(&barrier);
                 scope.spawn(move || {
                     barrier.wait();
-                    let r = cache.get_or_run(key, || {
+                    let r = cache.get_or_run(key, None, 0, || {
                         std::thread::sleep(std::time::Duration::from_millis(30));
                         report(99)
                     });
@@ -1010,7 +860,7 @@ mod tests {
             let b = std::sync::Arc::clone(&started);
             let leader = scope.spawn(move || {
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    c.get_or_run(key, || {
+                    c.get_or_run(key, None, 0, || {
                         b.wait();
                         std::thread::sleep(std::time::Duration::from_millis(20));
                         panic!("leader dies mid-simulation");
@@ -1019,7 +869,7 @@ mod tests {
             });
             // Start waiting only once the leader holds the flight.
             started.wait();
-            let r = cache.get_or_run(key, || report(7));
+            let r = cache.get_or_run(key, None, 0, || report(7));
             assert_eq!(r.total_cycles, 7, "follower takes over after the abort");
             leader.join().expect("leader thread joins");
         });
@@ -1030,8 +880,8 @@ mod tests {
     fn stats_are_rendered_from_the_metrics_registry() {
         let cache = ResultCache::in_memory();
         let key = RunKey::from_desc("k");
-        let _ = cache.get_or_run_labeled(key, Some("mcf/Baseline"), 1_500, || report(3));
-        let _ = cache.get_or_run(key, || report(3));
+        let _ = cache.get_or_run(key, Some("mcf/Baseline"), 1_500, || report(3));
+        let _ = cache.get_or_run(key, None, 0, || report(3));
         let snap = cache.metrics().snapshot();
         assert_eq!(snap.counter("run_cache_requested_total"), Some(2));
         assert_eq!(snap.counter("run_cache_simulated_total"), Some(1));

@@ -254,6 +254,29 @@ enum Trace {
     Stream(Box<StreamTrace>),
 }
 
+/// The counters the harness adds to its cache's registry next to the
+/// cache's own `run_cache_*` set: trace-tier resolutions
+/// (`Harness::resolve_trace`) and engine totals (`Harness::run_system`).
+const HARNESS_COUNTERS: [&str; 8] = [
+    "trace_tier_mem_hits_total",
+    "trace_tier_disk_hits_total",
+    "trace_tier_captures_total",
+    "trace_tier_evictions_total",
+    "sim_ticks_executed_total",
+    "sim_core_ticks_total",
+    "sim_cycles_advanced_total",
+    "sim_cycles_skipped_total",
+];
+
+/// `cache` with every harness counter registered at 0, so a scrape can
+/// tell zero from not exported.
+fn with_harness_counters(cache: ResultCache) -> ResultCache {
+    for name in HARNESS_COUNTERS {
+        let _ = cache.metrics().counter(name);
+    }
+    cache
+}
+
 /// The harness: a private clone of the built-in registry (so custom
 /// registrations never leak across harnesses), cached traces, the
 /// two-tier result cache, and the run engine.
@@ -287,7 +310,7 @@ impl Harness {
             workloads: catalog::single_core_set(rc.scale),
             traces: Mutex::new(TraceTier::default()),
             trace_store: None,
-            cache: ResultCache::in_memory(),
+            cache: with_harness_counters(ResultCache::in_memory()),
         }
     }
 
@@ -297,16 +320,15 @@ impl Harness {
     ///
     /// Returns the underlying I/O error when the directory cannot be
     /// created.
-    pub fn with_cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> std::io::Result<Self> {
-        self.cache = ResultCache::with_disk(DiskCache::open(dir)?);
-        Ok(self)
+    pub fn with_cache_dir(self, dir: impl Into<std::path::PathBuf>) -> std::io::Result<Self> {
+        Ok(self.with_disk_cache(DiskCache::open(dir)?))
     }
 
     /// Adds a pre-configured on-disk tier (e.g. one with a size cap from
     /// [`DiskCache::with_cap_bytes`]).
     #[must_use]
     pub fn with_disk_cache(mut self, disk: DiskCache) -> Self {
-        self.cache = ResultCache::with_disk(disk);
+        self.cache = with_harness_counters(ResultCache::with_disk(disk));
         self
     }
 
@@ -765,12 +787,13 @@ impl Harness {
     /// cell's label plus the timeline parameters), cached in a blob tier
     /// separate from `SimReport`s.
     ///
-    /// The capture is deterministic — bit-identical across engine modes,
-    /// thread counts, and warm/cold caches — so a racing duplicate can
-    /// only waste work, never publish a different blob; it is therefore
-    /// not single-flighted. The instrumented run's `SimReport` is
-    /// discarded (the plain cell already covers it), so timeline capture
-    /// can never perturb a cached report.
+    /// Captures are single-flighted like reports: concurrent requesters
+    /// of one key (another batch, thread, or service client) share one
+    /// capture. The capture is deterministic — bit-identical across
+    /// engine modes, thread counts, and warm/cold caches. The
+    /// instrumented run's `SimReport` is discarded (the plain cell
+    /// already covers it), so timeline capture can never perturb a cached
+    /// report.
     #[must_use]
     pub fn timelines(&self, cells: &[RunCell], tcfg: TimelineConfig) -> Vec<TimelineRun> {
         let (unique, slot) = dedup(cells);
@@ -783,16 +806,13 @@ impl Harness {
                     "{}|timeline|w{}|k{}",
                     cell.label, tcfg.window_cycles, tcfg.journey_every
                 ));
-                if let Some(t) = self.cache.lookup_timeline(key) {
-                    return t;
-                }
-                let mut sys = self.system(cell);
-                sys.enable_timeline(tcfg);
-                let _ = self.run_system(&mut sys, self.rc.warmup, self.rc.instructions);
-                let timeline = sys
-                    .take_timeline()
-                    .expect("timeline enabled before the run");
-                self.cache.insert_timeline(key, timeline)
+                self.cache.timeline(key, || {
+                    let mut sys = self.system(cell);
+                    sys.enable_timeline(tcfg);
+                    let _ = self.run_system(&mut sys, self.rc.warmup, self.rc.instructions);
+                    sys.take_timeline()
+                        .expect("timeline enabled before the run")
+                })
             },
         );
         cells
@@ -918,11 +938,9 @@ impl Harness {
             |&i| {
                 let cell = &cells[i];
                 let wait = u64::try_from(submitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                let report =
-                    self.cache
-                        .get_or_run_labeled(cell.key, Some(&cell.label), wait, || {
-                            self.simulate(cell)
-                        });
+                let report = self
+                    .cache
+                    .get_or_run(cell.key, Some(&cell.label), wait, || self.simulate(cell));
                 on_ready(i, cell, &report);
                 report
             },

@@ -19,6 +19,14 @@ const ENGINE_COUNTERS: [&str; 4] = [
     "sim_cycles_skipped_total",
 ];
 
+/// The trace-tier counters, in the order of `TraceTierStats`.
+const TRACE_TIER_COUNTERS: [&str; 4] = [
+    "trace_tier_mem_hits_total",
+    "trace_tier_disk_hits_total",
+    "trace_tier_captures_total",
+    "trace_tier_evictions_total",
+];
+
 fn engine_counters(h: &Harness) -> [u64; 4] {
     let snap = h.metrics().snapshot();
     ENGINE_COUNTERS.map(|name| snap.counter(name).unwrap_or(0))
@@ -46,6 +54,25 @@ fn baseline_cell(
         L1Pf::Ipcp.resolve(),
         Machine::CascadeLake(None),
     )
+}
+
+/// A scrape must tell zero from not exported: every counter the harness
+/// adds exists at 0 before anything moves it, on a fresh harness and on
+/// one that swapped in a disk-backed cache (and with it a new registry).
+#[test]
+fn harness_counters_exist_at_zero_from_the_start() {
+    let dir = std::env::temp_dir().join(format!("tlp-obs-zero-{}", std::process::id()));
+    let fresh = Harness::new(RunConfig::test());
+    let on_disk = Harness::new(RunConfig::test())
+        .with_cache_dir(&dir)
+        .expect("cache dir");
+    for h in [&fresh, &on_disk] {
+        let snap = h.metrics().snapshot();
+        for name in TRACE_TIER_COUNTERS.iter().chain(&ENGINE_COUNTERS) {
+            assert_eq!(snap.counter(name), Some(0), "{name} is registered at 0");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -191,8 +218,8 @@ fn profile_artifact_matches_the_summary_line() {
     );
     let lookup = find("run_cache_lookup_ns");
     assert_eq!(lookup.str_field("kind").unwrap(), "histogram");
-    // At least one timed lookup per request (a simulating leader looks
-    // up again when it re-checks the tiers, so the count can exceed it).
+    // At least one timed lookup per request (the requester that fills a
+    // slot also times its disk probe, so the count can exceed it).
     assert!(lookup.u64_field("count").unwrap() >= stats.requested);
     let simulate = find("run_cache_simulate_ns");
     assert_eq!(simulate.u64_field("count").unwrap(), stats.simulated);

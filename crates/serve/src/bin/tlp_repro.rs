@@ -95,6 +95,32 @@ fn experiment_names() -> impl Iterator<Item = &'static str> {
     EXPERIMENTS.iter().map(|(id, _)| *id).chain(["all"])
 }
 
+/// The value after a flag; exits 2 with `missing` when there is none.
+fn flag_value<'a, T: From<&'a String>>(it: &mut std::slice::Iter<'a, String>, missing: &str) -> T {
+    match it.next() {
+        Some(v) => T::from(v),
+        None => {
+            eprintln!("{missing}");
+            std::process::exit(2)
+        }
+    }
+}
+
+/// The value after a flag as a count >= 1; exits 2 with `invalid` when
+/// it is missing, does not parse, or is 0.
+fn flag_count<T: std::str::FromStr + PartialOrd + From<u8>>(
+    it: &mut std::slice::Iter<'_, String>,
+    invalid: &str,
+) -> T {
+    match it.next().and_then(|n| n.parse::<T>().ok()) {
+        Some(n) if n >= T::from(1) => n,
+        _ => {
+            eprintln!("{invalid}");
+            std::process::exit(2)
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut rc = RunConfig::quick();
@@ -123,59 +149,48 @@ fn main() {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scheme" => match it.next() {
-                Some(name) => schemes.push(name.clone()),
-                None => {
-                    eprintln!("--scheme requires a scheme name (--list-schemes shows all)");
-                    std::process::exit(2);
-                }
-            },
-            "--serve" => match it.next() {
-                Some(v) => serve_addr = Some(v.clone()),
-                None => {
-                    eprintln!("--serve requires HOST:PORT (port 0 picks an ephemeral port)");
-                    std::process::exit(2);
-                }
-            },
-            "--connect" => match it.next() {
-                Some(v) => connect_addr = Some(v.clone()),
-                None => {
-                    eprintln!("--connect requires HOST:PORT of a running daemon");
-                    std::process::exit(2);
-                }
-            },
-            "--profile" => match it.next() {
-                Some(path) => profile_path = Some(path.into()),
-                None => {
-                    eprintln!("--profile requires an output file (e.g. --profile p.json)");
-                    std::process::exit(2);
-                }
-            },
-            "--timeline" => match it.next() {
-                Some(path) => timeline_path = Some(path.into()),
-                None => {
-                    eprintln!("--timeline requires an output file (e.g. --timeline t.json)");
-                    std::process::exit(2);
-                }
-            },
-            "--check-timeline" => match it.next() {
-                Some(path) => check_timeline = Some(path.into()),
-                None => {
-                    eprintln!("--check-timeline requires a trace file written by --timeline");
-                    std::process::exit(2);
-                }
-            },
+            "--scheme" => schemes.push(flag_value(
+                &mut it,
+                "--scheme requires a scheme name (--list-schemes shows all)",
+            )),
+            "--serve" => {
+                serve_addr = Some(flag_value(
+                    &mut it,
+                    "--serve requires HOST:PORT (port 0 picks an ephemeral port)",
+                ))
+            }
+            "--connect" => {
+                connect_addr = Some(flag_value(
+                    &mut it,
+                    "--connect requires HOST:PORT of a running daemon",
+                ))
+            }
+            "--profile" => {
+                profile_path = Some(flag_value(
+                    &mut it,
+                    "--profile requires an output file (e.g. --profile p.json)",
+                ))
+            }
+            "--timeline" => {
+                timeline_path = Some(flag_value(
+                    &mut it,
+                    "--timeline requires an output file (e.g. --timeline t.json)",
+                ))
+            }
+            "--check-timeline" => {
+                check_timeline = Some(flag_value(
+                    &mut it,
+                    "--check-timeline requires a trace file written by --timeline",
+                ))
+            }
             "--stats" => want_stats = true,
-            "--l1pf" => match it.next() {
-                Some(name) => {
-                    l1pf_name = name.clone();
-                    l1pf_given = true;
-                }
-                None => {
-                    eprintln!("--l1pf requires a prefetcher name (--list-prefetchers shows all)");
-                    std::process::exit(2);
-                }
-            },
+            "--l1pf" => {
+                l1pf_name = flag_value(
+                    &mut it,
+                    "--l1pf requires a prefetcher name (--list-prefetchers shows all)",
+                );
+                l1pf_given = true;
+            }
             "--list-schemes" => {
                 let reg = tlp_harness::builtin_registry();
                 println!("{:<24} {:<8} {:<14} composition", "name", "kind", "origin");
@@ -224,69 +239,44 @@ fn main() {
             "--chart" => formats.push("chart"),
             "--all" => requested.push("all".into()),
             "--no-cache" => no_cache = true,
-            "--jobs" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => jobs = Some(n),
-                _ => {
-                    eprintln!("--jobs requires a worker count >= 1");
-                    std::process::exit(2);
-                }
-            },
-            "--cache-dir" => match it.next() {
-                Some(dir) => cache_dir = Some(dir.into()),
-                None => {
-                    eprintln!("--cache-dir requires a directory argument");
-                    std::process::exit(2);
-                }
-            },
-            "--cache-cap-mb" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(mb) if mb >= 1 => cache_cap_mb = Some(mb),
-                _ => {
-                    eprintln!("--cache-cap-mb requires a size in MiB >= 1");
-                    std::process::exit(2);
-                }
-            },
-            "--trace-dir" => match it.next() {
-                Some(dir) => trace_dir = Some(dir.into()),
-                None => {
-                    eprintln!("--trace-dir requires a directory argument");
-                    std::process::exit(2);
-                }
-            },
-            "--import-trace" => match it.next() {
-                Some(spec) => import_traces.push(spec.clone()),
-                None => {
-                    eprintln!("--import-trace requires FILE[:NAME] (a ChampSim trace file)");
-                    std::process::exit(2);
-                }
-            },
-            "--trace-info" => match it.next() {
-                Some(arg) => trace_info_args.push(arg.clone()),
-                None => {
-                    eprintln!("--trace-info requires a trace file path or trace:NAME");
-                    std::process::exit(2);
-                }
-            },
-            "--workload" => match it.next() {
-                Some(name) => workload_names.push(name.clone()),
-                None => {
-                    eprintln!("--workload requires a workload name (catalog or trace:NAME)");
-                    std::process::exit(2);
-                }
-            },
-            "--simpoints" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(k) if k >= 1 => simpoints_k = Some(k),
-                _ => {
-                    eprintln!("--simpoints requires a region count >= 1");
-                    std::process::exit(2);
-                }
-            },
-            "--out" => match it.next() {
-                Some(dir) => out_dir = Some(dir.into()),
-                None => {
-                    eprintln!("--out requires a directory argument");
-                    std::process::exit(2);
-                }
-            },
+            "--jobs" => jobs = Some(flag_count(&mut it, "--jobs requires a worker count >= 1")),
+            "--cache-dir" => {
+                cache_dir = Some(flag_value(
+                    &mut it,
+                    "--cache-dir requires a directory argument",
+                ))
+            }
+            "--cache-cap-mb" => {
+                cache_cap_mb = Some(flag_count(
+                    &mut it,
+                    "--cache-cap-mb requires a size in MiB >= 1",
+                ))
+            }
+            "--trace-dir" => {
+                trace_dir = Some(flag_value(
+                    &mut it,
+                    "--trace-dir requires a directory argument",
+                ))
+            }
+            "--import-trace" => import_traces.push(flag_value(
+                &mut it,
+                "--import-trace requires FILE[:NAME] (a ChampSim trace file)",
+            )),
+            "--trace-info" => trace_info_args.push(flag_value(
+                &mut it,
+                "--trace-info requires a trace file path or trace:NAME",
+            )),
+            "--workload" => workload_names.push(flag_value(
+                &mut it,
+                "--workload requires a workload name (catalog or trace:NAME)",
+            )),
+            "--simpoints" => {
+                simpoints_k = Some(flag_count(
+                    &mut it,
+                    "--simpoints requires a region count >= 1",
+                ))
+            }
+            "--out" => out_dir = Some(flag_value(&mut it, "--out requires a directory argument")),
             "--list" => {
                 for name in experiment_names() {
                     println!("{name}");

@@ -174,10 +174,11 @@ impl Client {
     }
 
     /// Asks the daemon to capture simulated-time telemetry: one
-    /// [`tlp_sim::Timeline`] per workload, streamed back through the
-    /// daemon's blob cache. Deterministic captures mean the reply's
-    /// blobs are byte-identical to what a local `--timeline` run of the
-    /// same cells would produce.
+    /// [`tlp_sim::Timeline`] per workload, resolved through the daemon's
+    /// blob cache, where concurrent clients asking for one cell share a
+    /// single capture. Deterministic captures mean the reply's blobs are
+    /// byte-identical to what a local `--timeline` run of the same cells
+    /// would produce.
     ///
     /// # Errors
     ///
@@ -185,19 +186,7 @@ impl Client {
     /// [`ServeError::Protocol`]/[`ServeError::Io`] on a broken peer or
     /// transport.
     pub fn timeline(&mut self, query: &TimelineQuery) -> Result<TimelineReply, ServeError> {
-        write_frame(&mut self.stream, FrameKind::Timeline, &query.encode())?;
-        match read_frame(&mut self.stream)? {
-            None => Err(ServeError::Protocol(
-                "connection closed mid-response".to_owned(),
-            )),
-            Some((FrameKind::Timeline, payload)) => Ok(TimelineReply::decode(&payload)?),
-            Some((FrameKind::Error, payload)) => {
-                Err(ServeError::Server(ErrorFrame::decode(&payload)?.message))
-            }
-            Some((kind, _)) => Err(ServeError::Protocol(format!(
-                "unexpected {kind:?} frame in timeline response"
-            ))),
-        }
+        self.single_reply(FrameKind::Timeline, query, "timeline")
     }
 
     /// Asks the daemon for its live metrics snapshot: Prometheus-style
@@ -214,17 +203,30 @@ impl Client {
         let query = StatsFrame {
             text: String::new(),
         };
-        write_frame(&mut self.stream, FrameKind::Stats, &query.encode())?;
+        self.single_reply(FrameKind::Stats, &query, "stats")
+            .map(|reply: StatsFrame| reply.text)
+    }
+
+    /// Sends `query` as one `kind` frame and reads the one-frame reply: a
+    /// `kind` frame decoded as `F`, or an ERROR frame. `what` names the
+    /// request in a protocol error.
+    fn single_reply<F: Frame>(
+        &mut self,
+        kind: FrameKind,
+        query: &impl Frame,
+        what: &str,
+    ) -> Result<F, ServeError> {
+        write_frame(&mut self.stream, kind, &query.encode())?;
         match read_frame(&mut self.stream)? {
             None => Err(ServeError::Protocol(
                 "connection closed mid-response".to_owned(),
             )),
-            Some((FrameKind::Stats, payload)) => Ok(StatsFrame::decode(&payload)?.text),
+            Some((k, payload)) if k == kind => Ok(F::decode(&payload)?),
             Some((FrameKind::Error, payload)) => {
                 Err(ServeError::Server(ErrorFrame::decode(&payload)?.message))
             }
-            Some((kind, _)) => Err(ServeError::Protocol(format!(
-                "unexpected {kind:?} frame in stats response"
+            Some((k, _)) => Err(ServeError::Protocol(format!(
+                "unexpected {k:?} frame in {what} response"
             ))),
         }
     }

@@ -7,11 +7,11 @@
 //! share a single simulation backend:
 //!
 //! - **Cross-client single-flight.** All connections run against the
-//!   same cache, whose in-flight map coalesces concurrent requests for
-//!   the same cell: the first requester anywhere in the service
-//!   simulates, every later requester blocks on the same flight slot and
-//!   receives the leader's report. Two clients submitting an identical
-//!   cold grid cost exactly one grid of simulation.
+//!   same cache, which gives each cell (and each timeline capture) one
+//!   slot: the first requester anywhere in the service simulates, every
+//!   concurrent requester blocks on that slot and receives the published
+//!   report. Two clients submitting an identical cold grid cost exactly
+//!   one grid of simulation.
 //! - **Streaming responses.** Results are framed back per cell as each
 //!   cell completes (completion order, tagged with the request index),
 //!   so a client starts receiving rows while the rest of its grid is

@@ -1,13 +1,14 @@
 //! The daemon: a TCP accept loop over one shared [`Harness`].
 //!
 //! Every connection gets its own handler thread, but all handlers share
-//! the *same* harness — the same registry, two-tier result cache, the same
-//! single-flight map, the same worker pool configuration. That sharing
-//! is the whole point: when two clients submit overlapping (or
-//! identical) grids, the cache's in-flight coalescing guarantees each
-//! unique cell is simulated exactly once service-wide; the late client's
-//! cells resolve as `coalesced` (waited on the other client's leader) or
-//! `mem_hits` (the leader already published).
+//! the *same* harness — the same registry, two-tier result cache with
+//! its one slot per cell, the same worker pool configuration. That
+//! sharing is the whole point: when two clients submit overlapping (or
+//! identical) grids, the cache's per-key slots guarantee each unique
+//! cell is simulated (and each timeline captured) exactly once
+//! service-wide; the late client's cells resolve as `coalesced` (waited
+//! on the slot the other client was filling) or `mem_hits` (the slot was
+//! already filled).
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -327,8 +328,8 @@ fn answer_sweep(
     let cells = request_cells(harness, &req.scheme, &req.l1pf, &req.workloads)?;
     // Stream each cell the moment its report exists — a cache hit
     // answers immediately, a coalesced cell as soon as the other
-    // client's leader publishes. A send failure can't abort the batch
-    // (other connections may be coalesced on these flights), so it is
+    // client's simulation fills its slot. A send failure can't abort the
+    // batch (other connections may be waiting on these slots), so it is
     // recorded and surfaced after the run.
     let send_failure: Mutex<Option<std::io::Error>> = Mutex::new(None);
     harness.run_streaming(&cells, |i, cell, report| {
@@ -362,8 +363,8 @@ fn answer_sweep(
 
 /// Captures timelines for a telemetry query through the shared harness's
 /// blob cache and answers with one TIMELINE frame. Captures are
-/// deterministic, so concurrent identical queries cost at most wasted
-/// work, never divergent replies.
+/// single-flighted like reports, so concurrent identical queries share
+/// one capture per cell.
 fn answer_timeline(
     harness: &Harness,
     query: &TimelineQuery,

@@ -1,46 +1,7 @@
-//! Offline shim for `parking_lot`: non-poisoning `RwLock`/`Mutex` wrappers
-//! over `std::sync`. See `shims/README.md`.
+//! Offline shim for `parking_lot`: a non-poisoning `Mutex` wrapper over
+//! `std::sync`. See `shims/README.md`.
 
 #![forbid(unsafe_code)]
-
-/// A reader-writer lock whose guards never expose poisoning: a panic while
-/// holding the lock simply lets the next holder proceed, matching
-/// parking_lot semantics.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Wraps a value.
-    pub fn new(value: T) -> Self {
-        Self {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access, blocking until granted.
-    pub fn read(&self) -> std::sync::RwLockReadGuard<'_, T> {
-        self.inner.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires exclusive write access, blocking until granted.
-    pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
-        self.inner.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Mutable access through an exclusive reference (no locking needed).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
 
 /// A mutual-exclusion lock without poisoning.
 #[derive(Debug, Default)]
@@ -77,15 +38,6 @@ impl<T: ?Sized> Mutex<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rwlock_read_write() {
-        let l = RwLock::new(1);
-        assert_eq!(*l.read(), 1);
-        *l.write() = 2;
-        assert_eq!(*l.read(), 2);
-        assert_eq!(l.into_inner(), 2);
-    }
 
     #[test]
     fn mutex_locks() {

@@ -8,7 +8,7 @@
 //! integer milli-unit rates) — these tests are what keep it that way.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use tlp::harness::timeline::{chrome_trace_value, windows_csv};
 use tlp::harness::{
@@ -142,6 +142,40 @@ fn capturing_a_timeline_never_perturbs_the_report() {
             cell.label()
         );
     }
+}
+
+/// Timeline captures are single-flighted like reports: two threads
+/// asking one cold harness for the same cell's timeline execute exactly
+/// the ticks of one capture.
+#[test]
+fn concurrent_requests_share_one_capture() {
+    let ticks = |h: &Harness| {
+        h.metrics()
+            .snapshot()
+            .counter("sim_ticks_executed_total")
+            .expect("the harness counts executed ticks")
+    };
+    let alone = Harness::new(rc(1, EngineMode::Event));
+    let _ = alone.timelines(&pinned_cells(&alone)[..1], tcfg());
+    let one_capture = ticks(&alone);
+    assert!(one_capture > 0, "the capture simulates");
+
+    let shared = Harness::new(rc(1, EngineMode::Event));
+    let cells = pinned_cells(&shared);
+    let barrier = Barrier::new(2);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                barrier.wait();
+                let _ = shared.timelines(&cells[..1], tcfg());
+            });
+        }
+    });
+    assert_eq!(
+        ticks(&shared),
+        one_capture,
+        "two concurrent requests for one timeline key capture it once"
+    );
 }
 
 /// Journey selection is a deterministic per-core modulus over demand
