@@ -18,6 +18,24 @@ use tlp_perceptron::{combine, mix64};
 /// Number of base features (Table I's "legacy Hermes features").
 pub const NUM_BASE_FEATURES: usize = 5;
 
+/// Copies the hashes of the enabled features, in feature order, to the
+/// front of `out` and returns how many there are. The per-access paths
+/// select into a stack array, so predicting allocates nothing.
+pub(crate) fn select_enabled(
+    hashes: &[u64; NUM_BASE_FEATURES],
+    enabled: &[bool; NUM_BASE_FEATURES],
+    out: &mut [u64],
+) -> usize {
+    let mut n = 0;
+    for (&h, &e) in hashes.iter().zip(enabled) {
+        if e {
+            out[n] = h;
+            n += 1;
+        }
+    }
+    n
+}
+
 /// Page size used for feature extraction (4 KB).
 const PAGE_SIZE: u64 = 4096;
 const LINE_SIZE: u64 = 64;

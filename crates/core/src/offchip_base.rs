@@ -4,7 +4,7 @@
 
 use tlp_perceptron::{FeatureIndices, HashedPerceptron, TableSpec};
 
-use crate::features::{FeatureState, NUM_BASE_FEATURES};
+use crate::features::{select_enabled, FeatureState, NUM_BASE_FEATURES};
 
 /// Geometry + training parameters of an off-chip perceptron.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,12 +140,9 @@ impl OffChipPerceptron {
     pub fn predict(&mut self, pc: u64, addr: u64) -> (i32, FeatureIndices) {
         let first = self.features.first_access(addr);
         let all = self.features.base_hashes(pc, addr, first);
-        let hashes: Vec<u64> = all
-            .iter()
-            .zip(&self.enabled)
-            .filter_map(|(&h, &e)| e.then_some(h))
-            .collect();
-        let idx = self.perceptron.indices(&hashes);
+        let mut hashes = [0; NUM_BASE_FEATURES];
+        let n = select_enabled(&all, &self.enabled, &mut hashes);
+        let idx = self.perceptron.indices(&hashes[..n]);
         let sum = self.perceptron.sum(&idx);
         self.features.observe_pc(pc);
         (sum, idx)

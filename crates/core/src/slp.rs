@@ -18,7 +18,7 @@ use tlp_perceptron::{FeatureIndices, HashedPerceptron, TableSpec};
 use tlp_sim::hooks::{FilterTag, L1FilterCtx, L1PrefetchFilter};
 use tlp_sim::types::Level;
 
-use crate::features::{FeatureState, NUM_BASE_FEATURES};
+use crate::features::{select_enabled, FeatureState, NUM_BASE_FEATURES};
 use crate::offchip_base::OffChipPerceptronConfig;
 
 /// SLP configuration.
@@ -106,19 +106,15 @@ impl Slp {
         let base = self
             .features
             .base_hashes(ctx.trigger_pc, ctx.pf_paddr, first);
-        debug_assert_eq!(base.len(), NUM_BASE_FEATURES);
-        let mut hashes: Vec<u64> = base
-            .iter()
-            .zip(&self.cfg.perceptron.enabled)
-            .filter_map(|(&h, &e)| e.then_some(h))
-            .collect();
+        // The enabled base features, then the leveling feature.
+        let mut hashes = [0; NUM_BASE_FEATURES + 1];
+        let mut n = select_enabled(&base, &self.cfg.perceptron.enabled, &mut hashes);
         if self.cfg.use_leveling {
-            hashes.push(FeatureState::leveling_hash(
-                ctx.trigger_tag.predicted_offchip(),
-                ctx.pf_paddr,
-            ));
+            hashes[n] =
+                FeatureState::leveling_hash(ctx.trigger_tag.predicted_offchip(), ctx.pf_paddr);
+            n += 1;
         }
-        self.perceptron.indices(&hashes)
+        self.perceptron.indices(&hashes[..n])
     }
 }
 

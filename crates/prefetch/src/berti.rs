@@ -23,7 +23,7 @@ const L2_COVERAGE: u32 = 35;
 /// Occurrences needed before a delta is trusted.
 const MIN_OCCURRENCES: u32 = 4;
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct DeltaInfo {
     delta: i32,
     occurrences: u32,
@@ -149,21 +149,23 @@ impl L1Prefetcher for Berti {
         let idx = self.ip_index(access.pc);
         let e = &mut self.table[idx];
         if !e.valid || e.tag != access.pc {
-            *e = IpEntry {
-                valid: true,
-                tag: access.pc,
-                history: VecDeque::with_capacity(HISTORY_LEN),
-                deltas: Vec::new(),
-            };
+            // A new IP: empty the victim's buffers and keep their storage.
+            e.valid = true;
+            e.tag = access.pc;
+            e.history.clear();
+            e.deltas.clear();
         }
-        let e = &mut self.table[idx];
-        // Issue prefetches from trusted deltas (best coverage first).
-        let mut ranked: Vec<DeltaInfo> = e
-            .deltas
-            .iter()
-            .copied()
-            .filter(|d| d.occurrences >= MIN_OCCURRENCES && d.coverage() >= L2_COVERAGE)
-            .collect();
+        // Issue prefetches from trusted deltas (best coverage first). The
+        // slice sort is stable, so equal coverages keep table order.
+        let mut ranked = [DeltaInfo::default(); MAX_DELTAS];
+        let mut n = 0;
+        for d in &e.deltas {
+            if d.occurrences >= MIN_OCCURRENCES && d.coverage() >= L2_COVERAGE {
+                ranked[n] = *d;
+                n += 1;
+            }
+        }
+        let ranked = &mut ranked[..n];
         ranked.sort_by_key(|d| std::cmp::Reverse(d.coverage()));
         for d in ranked.iter().take(self.max_degree) {
             let target = line as i64 + i64::from(d.delta);

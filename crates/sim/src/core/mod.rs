@@ -33,15 +33,15 @@ enum EntryState {
 
 /// Producer-seq sentinel for "no dependency" (`seq` never reaches it).
 /// A plain `u64` beats `Option<u64>` here: the pair shrinks from 32 to
-/// 16 bytes, and the scheduler scan walks thousands of entries per
-/// simulated kilocycle, so entry footprint is scan bandwidth.
+/// 16 bytes, and the issue scan reads it for every waiting entry on
+/// every busy cycle, so entry footprint is scan bandwidth.
 const NO_DEP: u64 = u64::MAX;
 
-/// `repr(C)` pins the declared field order: everything the scheduler
-/// scan reads before deciding to issue (`state`, `dispatched_at`,
-/// `deps`, `seq`) sits in the first 48 bytes, so a scan that skips or
-/// rejects an entry touches one cache line, not the whole ~100-byte
-/// entry.
+/// `repr(C)` pins the declared field order: everything the issue check
+/// reads before deciding to issue — the waiting entry's `dispatched_at`
+/// and `deps`, and each producer's `state` and `exec_done_at` — sits in
+/// the first 48 bytes, so rejecting an entry touches one cache line of
+/// it and of each producer, not the whole ~100-byte entry.
 #[derive(Debug, Clone)]
 #[repr(C)]
 struct RobEntry {
@@ -121,17 +121,12 @@ pub struct Core {
     /// the whole ROB prefix. Pushed at dispatch, popped at retirement
     /// (stores retire in order, so the front is always the oldest).
     store_words: VecDeque<(u64, u64)>,
-    /// How many ROB entries are in [`EntryState::Waiting`]. Entries enter
-    /// Waiting only at dispatch and leave only inside
-    /// [`Core::schedule_into`], so the count is exact — and when it is
-    /// zero (memory-bound stall: everything in flight or done) the
-    /// scheduler scan is skipped entirely.
-    waiting_count: usize,
-    /// Lower bound on the seq of the oldest Waiting entry: every entry
-    /// with a smaller seq is known not to be Waiting, so scans start here
-    /// instead of at the ROB head. Purely an iteration-skip hint — which
-    /// entries get examined (and in what order) is unchanged.
-    first_waiting_seq: u64,
+    /// Seqs of the ROB entries in [`EntryState::Waiting`], oldest first.
+    /// Entries enter Waiting only at dispatch (pushed here) and leave it
+    /// only inside [`Core::schedule_into`] (removed there), so the issue
+    /// scan and [`Core::next_wake`] walk exactly the entries they
+    /// examine, in ROB order, and skip nothing else.
+    waiting: Vec<u64>,
     branch: BranchPredictor,
     /// Dispatch is stalled until this branch seq resolves.
     stall_on_branch: Option<u64>,
@@ -169,8 +164,7 @@ impl Core {
             sq_used: 0,
             store_buffer: VecDeque::new(),
             store_words: VecDeque::new(),
-            waiting_count: 0,
-            first_waiting_seq: 0,
+            waiting: Vec::with_capacity(cfg.rob),
             branch: BranchPredictor::new(),
             stall_on_branch: None,
             fetch_resume_at: 0,
@@ -350,10 +344,7 @@ impl Core {
         if let Some(dst) = rec.dst {
             self.rename[dst.index()] = Some(seq);
         }
-        if self.waiting_count == 0 {
-            self.first_waiting_seq = seq;
-        }
-        self.waiting_count += 1;
+        self.waiting.push(seq);
         self.rob.push_back(entry);
         // Stop dispatching past a mispredicted branch this cycle.
         self.stall_on_branch.is_none()
@@ -374,132 +365,108 @@ impl Core {
     /// buffer — the engine reuses one scratch `Vec` across cores and
     /// cycles so the per-cycle path allocates nothing here.
     pub fn schedule_into(&mut self, now: Cycle, out: &mut Vec<LoadIssue>) {
-        // Fast path for memory-bound stalls: everything is in flight or
-        // done, so there is nothing the scheduler could issue.
-        if self.waiting_count == 0 {
-            return;
-        }
+        debug_assert!(
+            {
+                let in_rob = self.rob.iter().filter(|e| e.state == EntryState::Waiting);
+                self.waiting.iter().copied().eq(in_rob.map(|e| e.seq))
+            },
+            "the wait list must hold the Waiting ROB seqs in order"
+        );
         let mut issued = 0;
         let mut loads_issued = 0;
-        let window = self.cfg.sched_window;
-        let mut examined = 0;
-        // Skip the known non-Waiting prefix; the entries examined (and
-        // their order) are identical to a scan from the ROB head.
-        let start = (self.first_waiting_seq.saturating_sub(self.front_seq)) as usize;
-        for idx in start..self.rob.len() {
-            if issued >= self.cfg.issue_width {
-                break;
-            }
-            if examined >= window {
-                break;
-            }
-            let e = &self.rob[idx];
-            if e.state != EntryState::Waiting {
-                continue;
-            }
-            examined += 1;
-            if e.dispatched_at >= now {
-                continue;
-            }
-            // Dep readiness is monotone (a producer never un-finishes), so
-            // a dep observed ready is cleared to `None` — entries examined
-            // across many cycles pay each producer lookup once, not per
-            // tick. `dep_ready(None)` is true, so nothing downstream (the
-            // issue check here, `next_wake`'s candidate scan) can tell a
-            // cleared dep from a ready one.
-            let deps = e.deps;
-            if !self.dep_ready(deps[0], now) {
-                continue;
-            }
-            if deps[0] != NO_DEP {
-                self.rob[idx].deps[0] = NO_DEP;
-            }
-            if !self.dep_ready(deps[1], now) {
-                continue;
-            }
-            if deps[1] != NO_DEP {
-                self.rob[idx].deps[1] = NO_DEP;
-            }
-            let e = &self.rob[idx];
-            let seq = e.seq;
-            let rec = e.rec;
-            match rec.op {
-                Op::Alu => {
-                    let e = &mut self.rob[idx];
-                    e.state = EntryState::Done;
-                    e.exec_done_at = now + 1;
-                    self.waiting_count -= 1;
-                    issued += 1;
+        // `next` walks the list, oldest first; the entries that stay
+        // Waiting are compacted to `kept`, so what issued drops out of the
+        // list in the same pass.
+        let mut kept = 0;
+        let mut next = 0;
+        while next < self.waiting.len()
+            && issued < self.cfg.issue_width
+            && next < self.cfg.sched_window
+        {
+            let seq = self.waiting[next];
+            next += 1;
+            let port_free = loads_issued < self.cfg.l1d_ports;
+            match self.try_issue(seq, now, port_free, out) {
+                None => {
+                    self.waiting[kept] = seq;
+                    kept += 1;
                 }
-                Op::Fp => {
-                    let lat = self.cfg.fp_latency;
-                    let e = &mut self.rob[idx];
-                    e.state = EntryState::Done;
-                    e.exec_done_at = now + lat;
-                    self.waiting_count -= 1;
+                Some(to_memory) => {
                     issued += 1;
-                }
-                Op::Branch => {
-                    let e = &mut self.rob[idx];
-                    e.state = EntryState::Done;
-                    e.exec_done_at = now + 1;
-                    self.waiting_count -= 1;
-                    issued += 1;
-                }
-                Op::Store => {
-                    // Address generation; the write happens post-retirement.
-                    let e = &mut self.rob[idx];
-                    e.state = EntryState::Done;
-                    e.exec_done_at = now + 1;
-                    self.waiting_count -= 1;
-                    issued += 1;
-                }
-                Op::Load => {
-                    if loads_issued >= self.cfg.l1d_ports {
-                        continue;
-                    }
-                    // Store-to-load forwarding: an older in-flight store to
-                    // the same 8-byte word supplies the data directly.
-                    if self.older_store_matches(seq, rec.addr) {
-                        let e = &mut self.rob[idx];
-                        e.state = EntryState::Done;
-                        e.exec_done_at = now + 1;
-                        self.waiting_count -= 1;
-                        self.lq_used -= 1;
-                        if !self.stats_frozen {
-                            self.stats.store_forwards += 1;
-                        }
-                        issued += 1;
-                        continue;
-                    }
-                    let offchip = self.rob[idx].offchip;
-                    let e = &mut self.rob[idx];
-                    e.state = EntryState::WaitingMemory;
-                    self.waiting_count -= 1;
-                    out.push(LoadIssue {
-                        seq,
-                        pc: rec.pc,
-                        vaddr: rec.addr,
-                        offchip,
-                    });
-                    issued += 1;
-                    loads_issued += 1;
+                    loads_issued += usize::from(to_memory);
                 }
             }
         }
-        // Advance the hint in a separate tight scan: the main loop stays
-        // free of per-iteration bookkeeping (an extra live value there
-        // spills the hot loop's registers), and this scan stops at the
-        // first entry that is still Waiting — exactly the prefix the next
-        // call can skip. With nothing Waiting the stale hint is harmless:
-        // the fast path above returns before reading it.
-        if self.waiting_count > 0 {
-            let mut idx = start;
-            while idx < self.rob.len() && self.rob[idx].state != EntryState::Waiting {
-                idx += 1;
-            }
-            self.first_waiting_seq = self.front_seq + idx as u64;
+        self.waiting.drain(kept..next);
+    }
+
+    /// Issues the Waiting entry `seq` if it may start at `now`. Returns
+    /// `None` when it stays Waiting, `Some(true)` for a load sent to
+    /// memory (appended to `out`), and `Some(false)` for an entry that
+    /// executes in the core (store-to-load-forwarded loads included).
+    fn try_issue(
+        &mut self,
+        seq: u64,
+        now: Cycle,
+        port_free: bool,
+        out: &mut Vec<LoadIssue>,
+    ) -> Option<bool> {
+        let idx = (seq - self.front_seq) as usize;
+        let e = &self.rob[idx];
+        if e.dispatched_at >= now {
+            return None;
         }
+        // Dep readiness is monotone (a producer never un-finishes), so a
+        // dep observed ready is cleared to `NO_DEP` — entries examined
+        // across many cycles pay each producer lookup once, not per tick.
+        // `dep_ready(NO_DEP)` is true, so nothing downstream (the issue
+        // check here, `next_wake`'s candidate scan) can tell a cleared dep
+        // from a ready one.
+        let deps = e.deps;
+        if !self.dep_ready(deps[0], now) {
+            return None;
+        }
+        if deps[0] != NO_DEP {
+            self.rob[idx].deps[0] = NO_DEP;
+        }
+        if !self.dep_ready(deps[1], now) {
+            return None;
+        }
+        if deps[1] != NO_DEP {
+            self.rob[idx].deps[1] = NO_DEP;
+        }
+        let rec = self.rob[idx].rec;
+        let done_at = match rec.op {
+            // A store generates its address here; the write happens
+            // post-retirement.
+            Op::Alu | Op::Branch | Op::Store => now + 1,
+            Op::Fp => now + self.cfg.fp_latency,
+            Op::Load if !port_free => return None,
+            // Store-to-load forwarding: an older in-flight store to the
+            // same 8-byte word supplies the data directly.
+            Op::Load if self.older_store_matches(seq, rec.addr) => {
+                self.lq_used -= 1;
+                if !self.stats_frozen {
+                    self.stats.store_forwards += 1;
+                }
+                now + 1
+            }
+            Op::Load => {
+                let e = &mut self.rob[idx];
+                e.state = EntryState::WaitingMemory;
+                out.push(LoadIssue {
+                    seq,
+                    pc: rec.pc,
+                    vaddr: rec.addr,
+                    offchip: e.offchip,
+                });
+                return Some(true);
+            }
+        };
+        let e = &mut self.rob[idx];
+        e.state = EntryState::Done;
+        e.exec_done_at = done_at;
+        Some(false)
     }
 
     fn older_store_matches(&self, load_seq: u64, addr: u64) -> bool {
@@ -603,7 +570,7 @@ impl Core {
     /// O(1) front-half of [`Core::next_wake`]: true when the core is
     /// certain to have work on the very next cycle (a store to drain, a
     /// retirable head, or an unobstructed fetch). The event engine asks
-    /// this before paying for the full ROB scan — on busy cycles it
+    /// this before paying for the wait-list walk — on busy cycles it
     /// almost always answers the scheduling question by itself.
     #[must_use]
     pub fn wants_next_cycle(&self, now: Cycle, trace_done: bool) -> bool {
@@ -713,30 +680,15 @@ impl Core {
         // ignored: they only make a wake-up a no-op, never late. The scan
         // is bounded to the scheduling window exactly like
         // [`Core::schedule`]: entries past the first `sched_window`
-        // Waiting entries cannot issue until the Waiting prefix shrinks,
-        // which only happens inside an executed tick — after which this
-        // wake-up is recomputed. Bounding cuts the busy-phase walk from
-        // the full ROB to the window without ever waking late.
-        // `waiting_count`/`first_waiting_seq` skip work, never entries:
-        // with nothing Waiting the scan finds no candidate, and the
-        // entries before the first Waiting seq are known non-Waiting.
-        let start = if self.waiting_count == 0 {
-            self.rob.len()
-        } else {
-            (self.first_waiting_seq.saturating_sub(self.front_seq)) as usize
-        };
-        let mut examined = 0;
-        for e in self.rob.iter().skip(start) {
+        // Waiting entries cannot issue until the wait list shrinks, which
+        // only happens inside an executed tick — after which this wake-up
+        // is recomputed. Bounding cuts the busy-phase walk to the window
+        // without ever waking late.
+        for &seq in self.waiting.iter().take(self.cfg.sched_window) {
             if wake == soonest {
                 break;
             }
-            if e.state != EntryState::Waiting {
-                continue;
-            }
-            examined += 1;
-            if examined > self.cfg.sched_window {
-                break;
-            }
+            let e = &self.rob[(seq - self.front_seq) as usize];
             // Issue starts the cycle after dispatch (`dispatched_at < now`).
             let mut t = (e.dispatched_at + 1).max(soonest);
             let mut known = true;

@@ -1,8 +1,10 @@
 //! Pins the zero-allocation steady state of the engine's per-cycle
 //! path: once scratch buffers, queues, freelists, and page mappings are
-//! warm, ticking the system must not touch the global allocator at all.
-//! It also pins that reading a protocol frame allocates for the bytes
-//! that arrive, not for the length its header claims.
+//! warm, ticking the system must not touch the global allocator at all —
+//! with no predictors, and with the paper's schemes (TLP with IPCP and
+//! with Berti) and Hermes live. It also pins that reading a protocol
+//! frame allocates for the bytes that arrive, not for the length its
+//! header claims.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! warms a bounded working set, snapshots the allocation count, ticks
@@ -13,6 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System as SysAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use tlp::harness::{L1Pf, Scheme};
 use tlp::serve::protocol::{read_frame, FrameKind, MAX_FRAME_BYTES};
 use tlp::sim::engine::{CoreSetup, System};
 use tlp::sim::{SystemConfig, TimelineConfig};
@@ -71,6 +74,20 @@ fn cyclic_trace(records: usize) -> VecTrace {
     VecTrace::new("cyclic", recs)
 }
 
+/// Warms `sys` for 40K ticks — scratch buffers, queue capacities, waiter
+/// freelists, page-table mappings, predictor and prefetcher tables — then
+/// returns how many times the next 20K ticks allocated.
+fn steady_state_allocs(sys: &mut System) -> u64 {
+    for _ in 0..40_000 {
+        sys.tick();
+    }
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    for _ in 0..20_000 {
+        sys.tick();
+    }
+    ALLOC_CALLS.load(Ordering::Relaxed) - before
+}
+
 #[test]
 fn steady_state_tick_never_allocates() {
     // Small caches miss constantly on the 128-line set, keeping the
@@ -81,20 +98,31 @@ fn steady_state_tick_never_allocates() {
     // stamps) out of preallocated recorder storage — it must hold the
     // same zero-alloc bar as the engine itself.
     sys.enable_timeline(TimelineConfig::default());
-    // Warm every pool: scratch buffers, queue capacities, waiter
-    // freelists, page-table mappings for the two touched pages.
-    for _ in 0..40_000 {
-        sys.tick();
-    }
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    for _ in 0..20_000 {
-        sys.tick();
-    }
-    let delta = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+    let delta = steady_state_allocs(&mut sys);
     assert_eq!(
         delta, 0,
         "steady-state busy phase allocated {delta} times in 20k cycles"
     );
+
+    // The same bar with the hook seams live, each system assembled by the
+    // built-in registry: FLP and SLP (TLP) over IPCP and over Berti, and
+    // Hermes' off-chip perceptron over IPCP.
+    for (scheme, l1pf) in [
+        (Scheme::Tlp, L1Pf::Ipcp),
+        (Scheme::Tlp, L1Pf::Berti),
+        (Scheme::Hermes, L1Pf::Ipcp),
+    ] {
+        let setup = scheme.build_setup(Box::new(cyclic_trace(400_000)), l1pf);
+        let mut sys = System::new(SystemConfig::test_tiny(1), vec![setup]);
+        let delta = steady_state_allocs(&mut sys);
+        assert_eq!(
+            delta,
+            0,
+            "{} + {} allocated {delta} times in 20k steady-state cycles",
+            scheme.name(),
+            l1pf.name()
+        );
+    }
 
     // Same bar with a disk-backed trace source: a looping TLPT v2
     // `StreamTrace` decodes from its preallocated block buffer and
@@ -118,14 +146,7 @@ fn steady_state_tick_never_allocates() {
         SystemConfig::test_tiny(1),
         vec![CoreSetup::new(Box::new(stream))],
     );
-    for _ in 0..40_000 {
-        sys.tick();
-    }
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    for _ in 0..20_000 {
-        sys.tick();
-    }
-    let delta = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+    let delta = steady_state_allocs(&mut sys);
     assert_eq!(
         delta, 0,
         "streamed steady state allocated {delta} times in 20k cycles"
