@@ -276,6 +276,17 @@ impl SystemConfig {
         if self.core.load_queue == 0 || self.core.store_queue == 0 {
             return Err(ConfigError("LQ/SQ must be nonzero".into()));
         }
+        // Each of these at zero stops issue for good: the run could only
+        // spin until the deadlock watchdog fires.
+        for (name, value) in [
+            ("issue_width", self.core.issue_width),
+            ("sched_window", self.core.sched_window),
+            ("l1d_ports", self.core.l1d_ports),
+        ] {
+            if value == 0 {
+                return Err(ConfigError(format!("core {name} must be nonzero")));
+            }
+        }
         if self.dram.banks == 0 || self.dram.read_queue == 0 || self.dram.write_queue == 0 {
             return Err(ConfigError("dram queues/banks must be nonzero".into()));
         }
@@ -331,6 +342,28 @@ mod tests {
         let mut cfg = SystemConfig::cascade_lake(1);
         cfg.dram.bus_gbps = -1.0;
         assert!(cfg.validate().is_err());
+    }
+
+    fn core_field_rejected(set: impl Fn(&mut CoreConfig), name: &str) {
+        let mut cfg = SystemConfig::cascade_lake(1);
+        set(&mut cfg.core);
+        let err = cfg.validate().expect_err(name);
+        assert_eq!(err.0, format!("core {name} must be nonzero"));
+    }
+
+    #[test]
+    fn zero_issue_width_is_rejected() {
+        core_field_rejected(|c| c.issue_width = 0, "issue_width");
+    }
+
+    #[test]
+    fn zero_sched_window_is_rejected() {
+        core_field_rejected(|c| c.sched_window = 0, "sched_window");
+    }
+
+    #[test]
+    fn zero_l1d_ports_is_rejected() {
+        core_field_rejected(|c| c.l1d_ports = 0, "l1d_ports");
     }
 
     #[test]
